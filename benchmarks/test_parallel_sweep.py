@@ -7,16 +7,13 @@ with ``jobs=N`` must (a) produce results identical to sequential execution
 and records them, with the executor's per-phase profile, in
 ``BENCH_parallel_sweep.json``.
 
-The determinism half is asserted unconditionally, for both the
-shared-memory and the pickle transports.  The wall-clock half is honest
-about the hardware: ``available_cpus()`` reads the scheduler affinity mask
-(what a cgroup-limited CI runner can actually use, unlike
+The determinism half is asserted unconditionally.  The wall-clock half is
+honest about the hardware: ``available_cpus()`` reads the scheduler
+affinity mask (what a cgroup-limited CI runner can actually use, unlike
 ``os.cpu_count``), the persistent pool is warmed *outside* the timed
 region (that cost is paid once per process, not per sweep, and is recorded
 separately as ``pool_warm_s``), and the speedup floor is only enforced
-when at least two cores are usable.  On a scarce-core runner the enforced
-claim is the transport's instead: shared memory must move at least 10x
-fewer bytes over the process pipe than pickle for the same sweep.
+when at least two cores are usable.
 """
 
 from __future__ import annotations
@@ -29,13 +26,8 @@ from benchmarks.conftest import publish
 from repro.core.config import PolyraptorConfig
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.figure1a import run_figure1a
-from repro.experiments.parallel import (
-    available_cpus,
-    set_transport,
-    warm_worker_pool,
-)
+from repro.experiments.parallel import available_cpus, warm_worker_pool
 from repro.experiments.report import format_codec_stats, format_exec_profile
-from repro.experiments.shm import shm_available
 from repro.utils.units import KILOBYTE
 
 RESULTS_DIR = Path(__file__).parent / "results"
@@ -71,8 +63,6 @@ def test_sharded_sweep_is_identical_and_faster(benchmark):
     sequential, sequential_s = _run(jobs=1)
     sequential_profile = sequential.exec_profile
 
-    transport = "shm" if shm_available() else "pickle"
-    set_transport(transport)
     warm_start = time.perf_counter()
     warm_worker_pool(JOBS)
     pool_warm_s = time.perf_counter() - warm_start
@@ -83,19 +73,8 @@ def test_sharded_sweep_is_identical_and_faster(benchmark):
     sharded_profile = sharded.exec_profile
 
     # Determinism: the sharded sweep must be indistinguishable from the
-    # sequential one in every reported number, on both transports.
+    # sequential one in every reported number.
     _assert_identical(sharded, sequential)
-    pickle_profile = None
-    if transport == "shm":
-        set_transport("pickle")
-        try:
-            pickled, _ = _run(jobs=JOBS)
-        finally:
-            set_transport(None)
-        _assert_identical(pickled, sequential)
-        pickle_profile = pickled.exec_profile
-    else:
-        set_transport(None)
 
     cpu_count = available_cpus()
     speedup = sequential_s / sharded_s if sharded_s > 0 else 0.0
@@ -108,7 +87,6 @@ def test_sharded_sweep_is_identical_and_faster(benchmark):
             "sessions": SWEEP_CONFIG.num_foreground_transfers,
             "object_kb": SWEEP_CONFIG.object_bytes // KILOBYTE,
             "carry_payload": True,
-            "transport": transport,
         },
         "cpu_count": cpu_count,
         "pool_warm_s": pool_warm_s,
@@ -120,7 +98,6 @@ def test_sharded_sweep_is_identical_and_faster(benchmark):
         "profiles": {
             "sequential": sequential_profile,
             "sharded": sharded_profile,
-            "pickle": pickle_profile,
         },
         "merged_plan_cache": sharded.codec_stats["1 Replica RQ"]["plan_cache"],
     }
@@ -129,21 +106,14 @@ def test_sharded_sweep_is_identical_and_faster(benchmark):
         json.dumps(record, indent=2) + "\n", encoding="utf-8"
     )
 
-    pipe_note = ""
-    if pickle_profile is not None and sharded_profile is not None:
-        pipe_note = (
-            f"pipe bytes: shm {sharded_profile['bytes_shipped']}B vs "
-            f"pickle {pickle_profile['bytes_shipped']}B\n"
-        )
     publish(
         "parallel_sweep",
         f"Sharded figure1a sweep ({NUM_SEEDS} seeds, jobs={JOBS}, "
-        f"{cpu_count} usable cores, transport={transport})\n"
+        f"{cpu_count} usable cores)\n"
         f"sequential: {sequential_s:.2f}s   sharded: {sharded_s:.2f}s   "
         f"speedup: {speedup:.2f}x "
         f"({'enforced' if speedup_enforced else 'not enforced: single core'})   "
         f"pool warm (untimed): {pool_warm_s:.2f}s\n"
-        + pipe_note
         + format_exec_profile(sharded_profile, title="Sharded executor profile")
         + "\n"
         + format_codec_stats(sharded.codec_stats),
@@ -162,16 +132,6 @@ def test_sharded_sweep_is_identical_and_faster(benchmark):
                   "wall_s", "run_s", "pool_spawn_s", "plans_ship_s"):
         assert field in sharded_profile
     assert sharded_profile["workers"] == JOBS
-
-    if pickle_profile is not None:
-        # Shared memory's pipe traffic is descriptor-sized: at least 10x
-        # smaller than shipping the same payloads by pickle.  This holds on
-        # any machine, so it is the enforced claim when cores are scarce.
-        assert pickle_profile["bytes_shipped"] >= 10 * sharded_profile["bytes_shipped"], (
-            f"expected >=10x pipe-byte reduction, got "
-            f"{pickle_profile['bytes_shipped']}B (pickle) vs "
-            f"{sharded_profile['bytes_shipped']}B (shm)"
-        )
 
     if speedup_enforced:
         assert speedup > 1.0, (

@@ -49,10 +49,8 @@ from repro.experiments.parallel import (
     default_plan_cache_path,
     log_progress,
     resolve_jobs,
-    set_chunk_size,
     set_plan_cache_path,
     set_progress_logger,
-    set_transport,
 )
 from repro.experiments.correlated import run_correlated
 from repro.experiments.incast import run_incast
@@ -221,15 +219,6 @@ def _add_common_arguments(parser: argparse.ArgumentParser) -> None:
                         help="persist/reload factorised elimination plans across "
                              "invocations; without PATH, a per-package-version file "
                              "under ~/.cache/repro/ is used")
-    parser.add_argument("--shm", action=argparse.BooleanOptionalAction, default=None,
-                        help="ship sharded payloads through shared memory "
-                             "(--no-shm forces plain pickle over the pipe); "
-                             "default: shared memory when the platform supports "
-                             "it -- results are identical either way")
-    parser.add_argument("--chunk", type=int, default=None, metavar="N",
-                        help="runs per dispatched batch in sharded sweeps "
-                             "(default: ~4 batches per worker; affects "
-                             "scheduling only, never results)")
     parser.add_argument("--kernel", default="auto", type=_kernel_type,
                         metavar="{auto,%s}" % ",".join(registered_kernels()),
                         help="GF(256) kernel for codec linear algebra; 'auto' "
@@ -659,19 +648,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _apply_execution_options(args: argparse.Namespace) -> None:
-    """Install process-wide executor options (progress, plan cache, transport)."""
+    """Install process-wide executor options (progress, plan cache)."""
     if getattr(args, "progress", False):
         set_progress_logger(log_progress)
     plan_cache = getattr(args, "plan_cache", None)
     if plan_cache is not None:
         path = default_plan_cache_path() if plan_cache == "auto" else plan_cache
         set_plan_cache_path(path)
-    use_shm = getattr(args, "shm", None)
-    if use_shm is not None:
-        set_transport("shm" if use_shm else "pickle")
-    chunk = getattr(args, "chunk", None)
-    if chunk is not None:
-        set_chunk_size(chunk)
 
 
 def _export_telemetry(args: argparse.Namespace) -> None:

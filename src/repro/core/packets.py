@@ -5,7 +5,7 @@ Five packet types make up the protocol:
 * :class:`SymbolPayload`  -- an encoding symbol (DATA; trimmable);
 * :class:`PullPayload`    -- a receiver's request for one more symbol
   (control, priority);
-* :class:`RequestPayload` -- session establishment for many-to-one fetches
+* :class:`RequestPayload` -- session set-up for many-to-one fetches
   (control, priority);
 * :class:`DonePayload`    -- a receiver informing a sender that it has
   decoded the object (control, priority; retransmitted with capped backoff
@@ -67,7 +67,7 @@ class PullPayload:
 
 @dataclass(frozen=True)
 class RequestPayload:
-    """Fetch-session establishment sent by the receiver to each replica sender."""
+    """Fetch-session set-up sent by the receiver to each replica sender."""
 
     session_id: int
     receiver_host: int

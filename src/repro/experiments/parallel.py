@@ -12,7 +12,7 @@ a **persistent pool of warm worker processes**, with four guarantees:
    replays the transfer list the parent generated.  Results are merged in
    job-submission order regardless of which worker finished first, so the
    output of ``num_workers=N`` is byte-identical to ``num_workers=1`` for
-   every N -- and for every transport and chunk size.
+   every N.
 
 2. **Warm codec caches everywhere.**  Elimination plans
    (:class:`~repro.rq.plan.EliminationPlan`) are immutable, so the parent
@@ -21,30 +21,25 @@ a **persistent pool of warm worker processes**, with four guarantees:
    canonical loss patterns -- see
    :func:`repro.rq.backend.prewarm_canonical_decode_plans`), snapshots them
    into a picklable :class:`~repro.rq.plan.PlanStore`, and ships the store
-   **once per worker per sweep** -- zero-copy through shared memory when
-   available.  Each job then runs with a
+   **once per worker per sweep shape**.  Each job then runs with a
    :class:`~repro.rq.backend.CodecContext` preloaded from the same store --
    the sequential path does exactly the same, which is what keeps plan-cache
    hit/miss counters identical across worker counts.
 
-3. **Cheap transport.**  Job batches, per-job results and the plan store
-   cross the process boundary through ``multiprocessing.shared_memory``
-   segments (:mod:`repro.experiments.shm`): ndarray planes are written once
-   into the segment and mapped by the consumer, so only tiny descriptors
-   travel through the pipe.  When shared memory is unavailable the executor
-   falls back transparently to pickle payloads -- results are identical,
-   only ``bytes_shipped`` grows.
+3. **One transport.**  Job batches, per-job results and the plan store
+   cross the process boundary as pickles over the worker pipe.  A sweep's
+   payloads are tens of kilobytes, too little for the pipe to matter.
 
 4. **Amortised start-up.**  Workers are spawned once per process (imports,
    GF(256) kernel selection, codec context warm-up) and kept alive across
    sweeps: the second ``execute_jobs`` call of an invocation pays no spawn
-   or import cost.  Jobs are dispatched in chunked batches with dynamic
-   load balancing (a worker gets its next batch when it finishes one).
+   or import cost.  Jobs are dispatched in chunked batches (about four per
+   worker) with dynamic load balancing (a worker gets its next batch when
+   it finishes one).
 
 Every sharded call records an :class:`ExecutorProfile` (per-phase wall
-clock, ``bytes_shipped`` through the pipe, ``shm_bytes`` through shared
-memory), readable via :func:`last_profile` and surfaced by ``--progress``
-and the benchmarks.
+clock and ``bytes_shipped`` through the pipe), readable via
+:func:`last_profile` and surfaced by ``--progress`` and the benchmarks.
 
 Typical use (what the figure drivers do internally)::
 
@@ -67,13 +62,12 @@ import sys
 import time
 import traceback
 import warnings
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Callable, Hashable, Iterable, Optional, Sequence, Union
 
 from repro._version import __version__
 from repro.core.config import PolyraptorConfig
-from repro.experiments import shm
 from repro.experiments.config import ExperimentConfig, Protocol
 from repro.experiments.runner import RunResult, run_transfers
 from repro.faults.schedule import FaultSchedule
@@ -93,11 +87,6 @@ from repro.rq.plan import PlanStore, PlanStoreSchemaError
 #: Start method used for worker pools; ``spawn`` is the portable choice and
 #: proves that every job artefact survives pickling.
 DEFAULT_START_METHOD = "spawn"
-
-#: Transports a sharded run can use for payloads: ``shm`` (shared-memory
-#: segments, tiny pipe descriptors), ``pickle`` (everything through the
-#: pipe) or ``auto`` (``shm`` when the platform supports it).
-TRANSPORTS = ("auto", "shm", "pickle")
 
 #: Called after each job completes (in job order): (index, total, job, result).
 ProgressCallback = Callable[[int, int, "RunJob", RunResult], None]
@@ -402,18 +391,16 @@ def run_job(job: RunJob, plan_store: Optional[PlanStore] = None) -> RunResult:
 class ExecutorProfile:
     """Per-phase accounting for one ``execute_jobs`` call.
 
-    ``bytes_shipped`` counts payload bytes that crossed the process pipe by
-    pickle (job batches, results and the plan store in ``pickle`` transport;
-    only tiny segment descriptors in ``shm`` transport -- envelopes are
-    estimated at a flat 64 bytes per message).  ``shm_bytes`` counts bytes
-    written into shared-memory segments instead.  Wall-clock phases:
+    ``transport`` is ``inline`` for the sequential path and ``pickle`` for a
+    sharded one.  ``bytes_shipped`` counts the pickled job batches, results
+    and plan stores that crossed the process pipe.  Wall-clock phases:
     ``prewarm_s`` (plan factorisation), ``pool_spawn_s`` (parent-observed
     time until every worker reported ready -- includes the workers' imports;
     zero when the persistent pool was reused), ``worker_init_s`` (slowest
     worker's kernel + codec warm-up, paid once per pool), ``plans_ship_s``,
-    ``serialize_s``
-    (packing on both sides), ``merge_s`` (parent-side unpacking and
-    in-order merge) and ``run_s`` (summed worker simulation time).
+    ``serialize_s`` (packing on both sides), ``merge_s`` (parent-side
+    unpacking and in-order merge) and ``run_s`` (summed worker simulation
+    time).
     """
 
     label: str = ""
@@ -425,7 +412,6 @@ class ExecutorProfile:
     num_batches: int = 0
     cpu_count: int = 1
     bytes_shipped: int = 0
-    shm_bytes: int = 0
     prewarm_s: float = 0.0
     pool_spawn_s: float = 0.0
     worker_init_s: float = 0.0
@@ -452,7 +438,7 @@ def last_profile() -> Optional[ExecutorProfile]:
 # Telemetry collection ---------------------------------------------------------------
 #
 # Runs carry their flight-recorder output inside RunResult.telemetry (plain
-# dicts, so they ship through shm/pickle unchanged); execute_jobs additionally
+# dicts, so they pickle to the parent unchanged); execute_jobs additionally
 # accumulates them here -- mirroring the _last_profile pattern -- so the CLI
 # can export every sweep of an invocation without threading telemetry through
 # each scenario module's result type.  Only telemetry-carrying runs are
@@ -465,7 +451,7 @@ def collected_telemetry() -> list[TelemetryRecord]:
     """Telemetry records accumulated by :func:`execute_jobs` since the last clear.
 
     In job order within each sweep and sweep order across sweeps -- i.e.
-    byte-identical for every worker count, transport and chunk size.
+    byte-identical for every worker count.
     """
     return list(_telemetry_records)
 
@@ -492,63 +478,13 @@ def log_exec_profile(profile: ExecutorProfile) -> None:
         f"chunk={profile.chunk_size}  wall={profile.wall_s:.2f}s  "
         f"run={profile.run_s:.2f}s  serialize={profile.serialize_s * 1e3:.1f}ms  "
         f"merge={profile.merge_s * 1e3:.1f}ms  "
-        f"shipped={profile.bytes_shipped}B  shm={profile.shm_bytes}B",
+        f"shipped={profile.bytes_shipped}B",
         file=sys.stderr,
         flush=True,
     )
 
 
-# Process-wide executor defaults (installed by the CLI) ------------------------------
-
-_default_transport: str = "auto"
-_default_chunk: Optional[int] = None
-
-
-def set_transport(transport: Optional[str]) -> str:
-    """Install the process-wide default payload transport (``None`` = auto)."""
-    global _default_transport
-    transport = transport or "auto"
-    if transport not in TRANSPORTS:
-        raise ValueError(f"transport must be one of {TRANSPORTS}, got {transport!r}")
-    _default_transport = transport
-    return _default_transport
-
-
-def set_chunk_size(chunk: Optional[int]) -> Optional[int]:
-    """Install the process-wide default batch size (``None`` = auto)."""
-    global _default_chunk
-    if chunk is not None and chunk < 1:
-        raise ValueError(f"chunk must be at least 1, got {chunk}")
-    _default_chunk = chunk
-    return _default_chunk
-
-
-def resolve_transport(transport: Optional[str] = None) -> str:
-    """Resolve ``auto``/None to a concrete transport for this platform."""
-    transport = transport or _default_transport
-    if transport not in TRANSPORTS:
-        raise ValueError(f"transport must be one of {TRANSPORTS}, got {transport!r}")
-    if transport == "auto":
-        return "shm" if shm.shm_available() else "pickle"
-    return transport
-
-
-def _resolve_chunk(chunk: Optional[int], total: int, workers: int) -> int:
-    """Default chunking: ~4 batches per worker bounds idle tails and IPC."""
-    if chunk is None:
-        chunk = _default_chunk
-    if chunk is None:
-        chunk = max(1, -(-total // (workers * 4)))
-    if chunk < 1:
-        raise ValueError(f"chunk must be at least 1, got {chunk}")
-    return chunk
-
-
 # Worker pool ------------------------------------------------------------------------
-
-#: Estimated pipe cost of a queue message envelope (accounting only).
-_ENVELOPE_BYTES = 64
-
 
 class WorkerCrashError(RuntimeError):
     """A worker process died without reporting a result."""
@@ -558,44 +494,11 @@ class WorkerJobError(RuntimeError):
     """A job raised inside a worker; carries the formatted remote traceback."""
 
 
-def _dump_payload(obj, transport: str) -> tuple[tuple, int, int]:
-    """Pack ``obj`` for the pipe: returns (payload, pipe_bytes, shm_bytes)."""
-    if transport == "shm":
-        slot, stats = shm.pack_object(obj)
-        return ("shm", slot), _ENVELOPE_BYTES, stats.total_bytes
-    blob = pickle.dumps(obj, protocol=pickle.HIGHEST_PROTOCOL)
-    return ("pickle", blob), _ENVELOPE_BYTES + len(blob), 0
+def _dumps(obj) -> bytes:
+    return pickle.dumps(obj, protocol=pickle.HIGHEST_PROTOCOL)
 
 
-def _load_payload(
-    payload: tuple,
-    copy: bool = True,
-    keepalive: Optional[list] = None,
-    unlink: bool = True,
-):
-    """Unpack a payload produced by :func:`_dump_payload`.
-
-    ``unlink=True`` is the single-consumer convention (results, job
-    batches).  The plan store is mapped by *every* worker, so those loads
-    pass ``unlink=False`` and the parent removes the name once all workers
-    have acknowledged.
-    """
-    kind, body = payload
-    if kind == "shm":
-        return shm.unpack_object(body, unlink=unlink, copy=copy, keepalive=keepalive)
-    if kind == "pickle":
-        return pickle.loads(body)
-    raise ValueError(f"unknown payload kind {kind!r}")
-
-
-def _discard_payload(payload: tuple) -> None:
-    """Reap a payload that will never be consumed (teardown path)."""
-    kind, body = payload
-    if kind == "shm":
-        shm.discard_segment(body)
-
-
-def _worker_main(worker_id: int, tasks, results, transport: str) -> None:
+def _worker_main(worker_id: int, tasks, results) -> None:
     """Entry point of one persistent pool worker.
 
     Runs until a ``stop`` message arrives.  Initialisation happens exactly
@@ -610,66 +513,35 @@ def _worker_main(worker_id: int, tasks, results, transport: str) -> None:
     CodecContext()  # warm backend construction once
     results.put(("ready", worker_id, time.perf_counter() - init_start))
     plan_store: Optional[PlanStore] = None
-    keepalive: list = []  # open shm mappings backing the zero-copy plan store
-    def _drop_plan_store() -> None:
-        # Release the zero-copy mapping in dependency order: first the plans
-        # whose operators alias the segment, then (after a collection pass
-        # clears any cycles) the mapping itself -- closing while ndarray
-        # views are live would raise BufferError at interpreter shutdown.
-        nonlocal plan_store
-        plan_store = None
-        if keepalive:
-            import gc
-
-            gc.collect()
-            for mapping in keepalive:
-                try:
-                    mapping.close()
-                except BufferError:  # pragma: no cover - stray plan reference
-                    pass
-            keepalive.clear()
-
     while True:
         message = tasks.get()
         kind = message[0]
         if kind == "stop":
-            _drop_plan_store()
             return
         if kind == "plans":
             # A fresh store *replaces* the previous one (never merges): the
             # sequential path preloads exactly this store per job, and the
             # hit/miss determinism contract requires workers to match it.
-            payload = message[1]
-            _drop_plan_store()
-            if payload is not None:
-                # Zero-copy: the plans' operators alias the parent-created
-                # segment, so all workers share one set of physical pages.
-                # The parent owns the name and unlinks it after the acks.
-                plan_store = _load_payload(
-                    payload, copy=False, keepalive=keepalive, unlink=False
-                )
+            blob = message[1]
+            plan_store = PlanStore.from_bytes(blob) if blob is not None else None
             results.put(("plans_ok", worker_id))
             continue
         if kind != "batch":  # pragma: no cover - protocol guard
             raise RuntimeError(f"worker {worker_id}: unknown message {kind!r}")
-        batch_id, payload = message[1], message[2]
+        batch_id, blob = message[1], message[2]
         try:
-            jobs = _load_payload(payload, copy=True)
+            jobs = pickle.loads(blob)
             run_start = time.perf_counter()
             runs = [run_job(job, plan_store) for job in jobs]
             run_s = time.perf_counter() - run_start
             pack_start = time.perf_counter()
-            # Results are written in place into a fresh segment (pack_object
-            # unlinks it itself if packing fails); the parent unlinks after
-            # merging.
-            out_payload, pipe_bytes, shm_bytes = _dump_payload(runs, transport)
+            out = _dumps(runs)
             stats = {
                 "run_s": run_s,
                 "serialize_s": time.perf_counter() - pack_start,
-                "pipe_bytes": pipe_bytes,
-                "shm_bytes": shm_bytes,
+                "pipe_bytes": len(out),
             }
-            results.put(("done", worker_id, batch_id, out_payload, stats))
+            results.put(("done", worker_id, batch_id, out, stats))
         except BaseException:
             results.put(("error", worker_id, batch_id, traceback.format_exc()))
 
@@ -682,21 +554,14 @@ class WorkerPool:
     spawn + import + kernel warm-up cost is paid once per process, not once
     per ``execute_jobs`` call.  Jobs are shipped in chunked batches over
     per-worker task queues with parent-side dynamic dispatch (a worker
-    receives its next batch when it reports one done), and every payload
-    travels by the pool's transport (``shm`` or ``pickle``).
+    receives its next batch when it reports one done).
     """
 
-    def __init__(
-        self,
-        num_workers: int,
-        start_method: str = DEFAULT_START_METHOD,
-        transport: Optional[str] = None,
-    ) -> None:
+    def __init__(self, num_workers: int, start_method: str = DEFAULT_START_METHOD) -> None:
         if num_workers < 1:
             raise ValueError(f"num_workers must be at least 1, got {num_workers}")
         self.num_workers = num_workers
         self.start_method = start_method
-        self.transport = resolve_transport(transport)
         context = multiprocessing.get_context(start_method)
         self._results = context.Queue()
         self._tasks = [context.SimpleQueue() for _ in range(num_workers)]
@@ -704,7 +569,7 @@ class WorkerPool:
         self._procs = [
             context.Process(
                 target=_worker_main,
-                args=(wid, self._tasks[wid], self._results, self.transport),
+                args=(wid, self._tasks[wid], self._results),
                 daemon=True,
                 name=f"repro-worker-{wid}",
             )
@@ -743,48 +608,26 @@ class WorkerPool:
                         f"worker process(es) died: {dead}; pool must be restarted"
                     ) from None
 
-    def ship_plan_store(
-        self, store: Optional[PlanStore]
-    ) -> tuple[int, int, float]:
-        """Ship ``store`` to every worker once; returns (pipe, shm, seconds).
+    def ship_plan_store(self, store: Optional[PlanStore]) -> tuple[int, float]:
+        """Ship ``store`` to every worker once; returns (pipe bytes, seconds).
 
         The store is fingerprinted by its key set (plans are a pure function
-        of their key), so re-running the same sweep ships nothing.  In shm
-        transport a single segment is packed, every worker maps it zero-copy
-        and the parent unlinks the name afterwards -- the mapping, and the
-        one shared set of physical pages, survive until the workers exit.
+        of their key), so re-running the same sweep ships nothing.
         """
         token = frozenset(store.plans.keys()) if store is not None else frozenset()
         if token == self._plans_token:
-            return 0, 0, 0.0
+            return 0, 0.0
         ship_start = time.perf_counter()
-        pipe_bytes = shm_bytes = 0
-        slot = None
-        if store is None:
-            payload = None
-        elif self.transport == "shm":
-            slot, stats = shm.pack_object(store)
-            payload = ("shm", slot)
-            shm_bytes = stats.total_bytes
-            pipe_bytes = _ENVELOPE_BYTES * self.num_workers
-        else:
-            blob = store.to_bytes()
-            payload = ("pickle", blob)
-            pipe_bytes = (len(blob) + _ENVELOPE_BYTES) * self.num_workers
-        try:
-            for tasks in self._tasks:
-                tasks.put(("plans", payload))
-            for _ in range(self.num_workers):
-                message = self._next_message()
-                if message[0] != "plans_ok":  # pragma: no cover - protocol guard
-                    raise RuntimeError(f"unexpected pool message {message[0]!r}")
-        finally:
-            if slot is not None:
-                # Every worker holds a mapping (or died -- in which case the
-                # pool is being torn down); release the name either way.
-                shm.discard_segment(slot)
+        blob = store.to_bytes() if store is not None else None
+        for tasks in self._tasks:
+            tasks.put(("plans", blob))
+        for _ in range(self.num_workers):
+            message = self._next_message()
+            if message[0] != "plans_ok":  # pragma: no cover - protocol guard
+                raise RuntimeError(f"unexpected pool message {message[0]!r}")
         self._plans_token = token
-        return pipe_bytes, shm_bytes, time.perf_counter() - ship_start
+        pipe_bytes = len(blob) * self.num_workers if blob is not None else 0
+        return pipe_bytes, time.perf_counter() - ship_start
 
     def run_jobs(
         self,
@@ -798,14 +641,11 @@ class WorkerPool:
         Batches of ``chunk_size`` consecutive jobs are dispatched dynamically
         -- each worker gets a new batch as it finishes one -- and merged in
         submission order, so the output (and the order of ``progress``
-        callbacks) is independent of scheduling.  On any worker error the
-        in-flight segments are reaped before the exception propagates, so a
-        failed sweep leaks no shared memory.
+        callbacks) is independent of scheduling.
         """
         batches = [list(jobs[at:at + chunk_size]) for at in range(0, len(jobs), chunk_size)]
         starts = list(range(0, len(jobs), chunk_size))
         profile.num_batches = len(batches)
-        in_flight: dict[int, tuple] = {}
         batch_results: dict[int, list[RunResult]] = {}
         next_batch = 0
         fired = 0  # progress callbacks fired (== merged job-order prefix)
@@ -815,14 +655,10 @@ class WorkerPool:
             if next_batch >= len(batches):
                 return
             pack_start = time.perf_counter()
-            payload, pipe_bytes, shm_bytes = _dump_payload(
-                batches[next_batch], self.transport
-            )
+            blob = _dumps(batches[next_batch])
             profile.serialize_s += time.perf_counter() - pack_start
-            profile.bytes_shipped += pipe_bytes
-            profile.shm_bytes += shm_bytes
-            in_flight[next_batch] = payload
-            self._tasks[worker_id].put(("batch", next_batch, payload))
+            profile.bytes_shipped += len(blob)
+            self._tasks[worker_id].put(("batch", next_batch, blob))
             next_batch += 1
 
         dispatch_start = time.perf_counter()
@@ -833,15 +669,13 @@ class WorkerPool:
                 message = self._next_message()
                 kind = message[0]
                 if kind == "done":
-                    _, worker_id, batch_id, payload, stats = message
-                    in_flight.pop(batch_id, None)
+                    _, worker_id, batch_id, blob, stats = message
                     merge_start = time.perf_counter()
-                    batch_results[batch_id] = _load_payload(payload, copy=True)
+                    batch_results[batch_id] = pickle.loads(blob)
                     profile.merge_s += time.perf_counter() - merge_start
                     profile.run_s += stats["run_s"]
                     profile.serialize_s += stats["serialize_s"]
                     profile.bytes_shipped += stats["pipe_bytes"]
-                    profile.shm_bytes += stats["shm_bytes"]
                     dispatch(worker_id)
                     if progress is not None:
                         merge_start = time.perf_counter()
@@ -855,7 +689,6 @@ class WorkerPool:
                         profile.merge_s += time.perf_counter() - merge_start
                 elif kind == "error":
                     _, worker_id, batch_id, remote_traceback = message
-                    in_flight.pop(batch_id, None)
                     keys = [job.key for job in batches[batch_id]]
                     raise WorkerJobError(
                         f"worker {worker_id} failed on batch {batch_id} "
@@ -863,28 +696,12 @@ class WorkerPool:
                     )
                 else:  # pragma: no cover - protocol guard
                     raise RuntimeError(f"unexpected pool message {kind!r}")
-        except BaseException:
-            self._reap_in_flight(in_flight)
-            raise
         finally:
             profile.dispatch_s += time.perf_counter() - dispatch_start
         merge_start = time.perf_counter()
         merged = [run for batch_id in range(len(batches)) for run in batch_results[batch_id]]
         profile.merge_s += time.perf_counter() - merge_start
         return merged
-
-    def _reap_in_flight(self, in_flight: dict[int, tuple]) -> None:
-        """Unlink every segment whose consumer may never attach (error path)."""
-        for payload in in_flight.values():
-            _discard_payload(payload)
-        # Drain any already-queued results so their segments are freed too.
-        while True:
-            try:
-                message = self._results.get_nowait()
-            except queue.Empty:
-                return
-            if message[0] == "done":
-                _discard_payload(message[3])
 
     def close(self, force: bool = False, join_timeout_s: float = 5.0) -> None:
         """Stop every worker; ``force`` terminates instead of asking."""
@@ -911,39 +728,32 @@ _pool: Optional[WorkerPool] = None
 
 
 def get_worker_pool(
-    num_workers: int,
-    start_method: str = DEFAULT_START_METHOD,
-    transport: Optional[str] = None,
+    num_workers: int, start_method: str = DEFAULT_START_METHOD
 ) -> tuple[WorkerPool, bool]:
     """The process-wide persistent pool; returns ``(pool, was_reused)``.
 
-    A pool is reused while the requested shape (worker count, start method,
-    resolved transport) matches; a mismatch shuts the old pool down and
-    spawns a fresh one.  The pool is torn down automatically at interpreter
-    exit.
+    A pool is reused while the requested shape (worker count, start method)
+    matches; a mismatch shuts the old pool down and spawns a fresh one.  The
+    pool is torn down automatically at interpreter exit.
     """
     global _pool
-    transport = resolve_transport(transport)
     if _pool is not None and not _pool._closed:
         if (
             _pool.num_workers == num_workers
             and _pool.start_method == start_method
-            and _pool.transport == transport
             and all(proc.is_alive() for proc in _pool._procs)
         ):
             return _pool, True
         shutdown_worker_pool()
-    _pool = WorkerPool(num_workers, start_method=start_method, transport=transport)
+    _pool = WorkerPool(num_workers, start_method=start_method)
     return _pool, False
 
 
 def warm_worker_pool(
-    num_workers: int,
-    start_method: str = DEFAULT_START_METHOD,
-    transport: Optional[str] = None,
+    num_workers: int, start_method: str = DEFAULT_START_METHOD
 ) -> WorkerPool:
     """Ensure the persistent pool exists and is warm (benchmark helper)."""
-    pool, _ = get_worker_pool(num_workers, start_method=start_method, transport=transport)
+    pool, _ = get_worker_pool(num_workers, start_method=start_method)
     return pool
 
 
@@ -966,8 +776,6 @@ def execute_jobs(
     plan_store: Optional[PlanStore] = None,
     start_method: str = DEFAULT_START_METHOD,
     progress: Optional[ProgressCallback] = None,
-    transport: Optional[str] = None,
-    chunk: Optional[int] = None,
     label: str = "",
     prewarm_decode: Union[bool, str, None] = "auto",
 ) -> list[RunResult]:
@@ -977,7 +785,9 @@ def execute_jobs(
         jobs: the expanded sweep.
         num_workers: how many worker processes to shard across; ``<= 1``
             runs everything sequentially in this process (no pool, no
-            pickling) but with identical semantics.
+            pickling) but with identical semantics.  Sharded runs dispatch
+            about four batches per worker; the batch size affects
+            scheduling only, never results.
         plan_store: the shared elimination-plan store; when ``None`` one is
             pre-warmed automatically for payload-carrying Polyraptor jobs
             (see :func:`plan_store_for_jobs`).
@@ -985,12 +795,6 @@ def execute_jobs(
         progress: optional per-job callback ``(index, total, job, result)``,
             invoked in job order as results arrive (the CLI wires
             :func:`log_progress` here); it never affects results.
-        transport: payload transport (``"shm"``/``"pickle"``/``"auto"``);
-            ``None`` uses the process default (see :func:`set_transport`).
-            Results are byte-identical across transports.
-        chunk: jobs per dispatched batch; ``None`` uses the process default
-            or, failing that, ~4 batches per worker.  Affects scheduling
-            granularity only, never results.
         label: a short sweep name recorded in the executor profile and
             progress output.
         prewarm_decode: pre-warm canonical decode plans for common loss
@@ -1030,24 +834,21 @@ def execute_jobs(
         _last_profile = profile
         _accumulate_telemetry(label, jobs, results)
         return results
-    pool, reused = get_worker_pool(
-        num_workers, start_method=start_method, transport=transport
-    )
-    profile.transport = pool.transport
+    pool, reused = get_worker_pool(num_workers, start_method=start_method)
+    profile.transport = "pickle"
     profile.workers = pool.num_workers
     profile.pool_reused = reused
     profile.pool_spawn_s = 0.0 if reused else pool.spawn_s
     profile.worker_init_s = pool.worker_init_s
-    profile.chunk_size = _resolve_chunk(chunk, total, pool.num_workers)
+    # About four batches per worker bounds both idle tails and pipe traffic.
+    profile.chunk_size = max(1, -(-total // (pool.num_workers * 4)))
     try:
-        pipe_bytes, shm_bytes, ship_s = pool.ship_plan_store(plan_store)
-        profile.bytes_shipped += pipe_bytes
-        profile.shm_bytes += shm_bytes
-        profile.plans_ship_s = ship_s
+        profile.bytes_shipped, profile.plans_ship_s = pool.ship_plan_store(plan_store)
         results = pool.run_jobs(jobs, profile.chunk_size, progress, profile)
     except (WorkerCrashError, WorkerJobError):
-        # The pool may hold poisoned queues or dead workers; restart fresh
-        # on the next sweep rather than risking a hang.
+        # The pool may hold poisoned queues or dead workers, and sibling
+        # batches of the failed sweep may still report; restart fresh on the
+        # next sweep rather than risking a hang or a stale result.
         shutdown_worker_pool()
         raise
     profile.wall_s = time.perf_counter() - wall_start

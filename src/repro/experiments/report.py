@@ -213,8 +213,8 @@ def format_exec_profile(profile: Optional[dict], title: str = "Executor profile"
     Takes the ``exec_profile`` dict a result object carries (an
     :class:`~repro.experiments.parallel.ExecutorProfile` snapshot) and shows
     where the sweep's wall clock went and how many bytes crossed the process
-    boundary by pipe vs shared memory.  ``None`` (no profile recorded)
-    renders as a one-line note so callers can print unconditionally.
+    pipe.  ``None`` (no profile recorded) renders as a one-line note so
+    callers can print unconditionally.
     """
     if not profile:
         return f"{title}\n  (no executor profile recorded)"
@@ -228,7 +228,6 @@ def format_exec_profile(profile: Optional[dict], title: str = "Executor profile"
             str(profile.get("jobs_total", 0)),
             str(profile.get("chunk_size", 1)),
             str(profile.get("bytes_shipped", 0)),
-            str(profile.get("shm_bytes", 0)),
             f"{profile.get('wall_s', 0.0):.2f}",
             f"{profile.get('run_s', 0.0):.2f}",
             _ms("prewarm_s"),
@@ -246,7 +245,6 @@ def format_exec_profile(profile: Optional[dict], title: str = "Executor profile"
             "jobs",
             "chunk",
             "pipe B",
-            "shm B",
             "wall s",
             "run s",
             "prewarm ms",

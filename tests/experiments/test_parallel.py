@@ -272,9 +272,8 @@ class TestExecutorProfile:
         execute_jobs(jobs, num_workers=1)
         snapshot = last_profile().as_dict()
         for key in ("transport", "workers", "jobs_total", "bytes_shipped",
-                    "shm_bytes", "prewarm_s", "pool_spawn_s", "worker_init_s",
-                    "plans_ship_s", "serialize_s", "merge_s", "run_s", "wall_s",
-                    "cpu_count"):
+                    "prewarm_s", "pool_spawn_s", "worker_init_s", "plans_ship_s",
+                    "serialize_s", "merge_s", "run_s", "wall_s", "cpu_count"):
             assert key in snapshot
 
     def test_format_exec_profile_renders_and_handles_none(self):
@@ -364,13 +363,12 @@ class TestCliJobs:
         args = build_parser().parse_args(["figure1a", "--jobs", "auto"])
         assert args.jobs == available_cpus()
 
-    def test_shm_and_chunk_flags_parse(self):
+    def test_shm_and_chunk_flags_rejected(self):
         from repro.cli import build_parser
 
-        assert build_parser().parse_args(["mix"]).shm is None
-        assert build_parser().parse_args(["mix", "--shm"]).shm is True
-        assert build_parser().parse_args(["mix", "--no-shm"]).shm is False
-        assert build_parser().parse_args(["mix", "--chunk", "3"]).chunk == 3
+        for flags in (["--shm"], ["--no-shm"], ["--chunk", "3"]):
+            with pytest.raises(SystemExit):
+                build_parser().parse_args(["mix", *flags])
 
     def test_jobs_garbage_rejected(self):
         from repro.cli import build_parser

@@ -1,65 +1,47 @@
-"""Tests for the shared-memory transport and the persistent worker pool.
+"""Tests for the persistent worker pool of the sharded executor.
 
 Three contracts:
 
-* the shm channel is a faithful, leak-free serialisation path -- pack/unpack
-  equals a pickle round trip, segments are always closed and unlinked, on
-  success and on every failure path (corrupt header, worker exception);
-* the persistent pool reuses its worker processes across sweeps and keeps
-  results byte-identical to the sequential path for every worker count,
-  transport and chunk size;
+* the persistent pool reuses its worker processes across sweeps, ships the
+  plan store once per sweep shape, and keeps results byte-identical to the
+  sequential path for every worker count (and so every derived batch size);
+* a job that raises inside a worker surfaces as :class:`WorkerJobError`
+  naming the job, and the pool that ran it is torn down so the next sweep
+  starts on fresh workers;
 * the canonical decode-plan pre-warm stores exactly the keys a live lossy
   decode looks up.
 """
 
 from __future__ import annotations
 
-import glob
 import json
-import pickle
+import os
 
-import numpy as np
 import pytest
 
 from repro.core.config import PolyraptorConfig
-from repro.experiments import shm
 from repro.experiments.config import ExperimentConfig, Protocol
 from repro.experiments.parallel import (
+    ExecutorProfile,
     RunJob,
     WorkerJobError,
     execute_jobs,
     get_worker_pool,
     last_profile,
+    plan_store_for_jobs,
     shutdown_worker_pool,
-)
-from repro.experiments.shm import (
-    ShmSlot,
-    ShmTransportError,
-    discard_segment,
-    pack_object,
-    shm_available,
-    unpack_object,
+    warm_worker_pool,
 )
 from repro.utils.units import KILOBYTE
 from repro.workloads.spec import TransferKind, TransferSpec
 
-pytestmark = pytest.mark.skipif(
-    not shm_available(), reason="POSIX shared memory unavailable on this platform"
-)
-
-
-def _shm_segments() -> list[str]:
-    return glob.glob(f"/dev/shm/{shm.SHM_NAME_PREFIX}*")
-
 
 @pytest.fixture(autouse=True)
-def _no_leaked_segments():
-    """Every test must leave /dev/shm exactly as it found it."""
-    before = set(_shm_segments())
+def _fresh_pool():
+    """Each test starts and ends without a persistent pool."""
+    shutdown_worker_pool()
     yield
     shutdown_worker_pool()
-    leaked = set(_shm_segments()) - before
-    assert not leaked, f"leaked shared-memory segments: {sorted(leaked)}"
 
 
 PAYLOAD_CONFIG = ExperimentConfig(
@@ -93,167 +75,97 @@ def _fingerprints(runs) -> list[str]:
             for run in runs]
 
 
-class TestShmRoundTrip:
-    def test_plain_objects_round_trip(self):
-        payload = {"alpha": [1, 2, 3], "beta": ("x", 4.5), "gamma": None}
-        slot, stats = pack_object(payload)
-        assert unpack_object(slot) == payload
-        assert stats.total_bytes > 0
-        assert not _shm_segments()
-
-    def test_ndarrays_round_trip_out_of_band(self):
-        arrays = [np.arange(4096, dtype=np.uint8).reshape(16, 256),
-                  np.linspace(0.0, 1.0, 513)]
-        slot, stats = pack_object(arrays)
-        clone = unpack_object(slot)
-        for original, copy in zip(arrays, clone):
-            np.testing.assert_array_equal(original, copy)
-        # Protocol-5 out-of-band extraction: the planes' bytes must live
-        # outside the pickle stream, not embedded in it.
-        assert stats.buffer_bytes >= arrays[0].nbytes
-        assert stats.stream_bytes < arrays[0].nbytes
-
-    def test_round_trip_matches_pickle_path(self):
-        run = execute_jobs(_payload_jobs(seeds=(1,)), num_workers=1)[0]
-        slot, _ = pack_object(run)
-        via_shm = unpack_object(slot)
-        via_pickle = pickle.loads(pickle.dumps(run))
-        assert _fingerprints([via_shm]) == _fingerprints([via_pickle])
-
-    def test_unpacked_copies_outlive_the_segment(self):
-        plane = np.arange(2048, dtype=np.uint8)
-        slot, _ = pack_object({"plane": plane})
-        clone = unpack_object(slot)  # copy=True default; segment unlinked
-        assert not _shm_segments()
-        clone["plane"][:] ^= 0xFF  # writable, private memory
-        np.testing.assert_array_equal(clone["plane"], plane ^ 0xFF)
-
-    def test_zero_copy_requires_keepalive(self):
-        slot, _ = pack_object([1, 2, 3])
-        with pytest.raises(ValueError, match="keepalive"):
-            unpack_object(slot, copy=False)
-        assert unpack_object(slot) == [1, 2, 3]
-
-    def test_zero_copy_aliases_survive_unlink(self):
-        plane = np.arange(4096, dtype=np.uint8)
-        slot, _ = pack_object({"plane": plane})
-        keepalive: list = []
-        clone = unpack_object(slot, unlink=True, copy=False, keepalive=keepalive)
-        assert len(keepalive) == 1
-        assert not _shm_segments()  # name gone, mapping still alive
-        np.testing.assert_array_equal(np.asarray(clone["plane"]), plane)
-        del clone
-        import gc
-
-        gc.collect()
-        for mapping in keepalive:
-            mapping.close()
+def _exited(pid: int) -> bool:
+    try:
+        os.kill(pid, 0)
+    except ProcessLookupError:
+        return True
+    return False
 
 
-class TestShmFailurePaths:
-    def test_missing_segment_raises(self):
-        with pytest.raises(ShmTransportError, match="gone"):
-            unpack_object(ShmSlot(name=f"{shm.SHM_NAME_PREFIX}missing", size=64))
-
-    def test_corrupt_magic_raises_and_segment_is_reaped(self):
-        slot, _ = pack_object({"x": 1})
-        from multiprocessing import shared_memory
-
-        segment = shared_memory.SharedMemory(name=slot.name)
-        segment.buf[:4] = b"XXXX"
-        segment.close()
-        with pytest.raises(ShmTransportError, match="bad magic"):
-            unpack_object(slot)
-        # The consumer unlinks even when the payload is corrupt -- a poisoned
-        # result must not leak its segment.
-        assert not _shm_segments()
-
-    def test_discard_segment_reaps_and_reports_absence(self):
-        slot, _ = pack_object([1])
-        assert discard_segment(slot) is True
-        assert discard_segment(slot) is False
-        assert not _shm_segments()
-
-    def test_worker_exception_propagates_and_leaks_nothing(self):
+class TestWorkerFailure:
+    def test_worker_error_names_the_job_and_replaces_the_pool(self):
         jobs = _payload_jobs(seeds=(1, 2))
         # A host that does not exist in the k=4 fabric: the worker's topology
-        # lookup raises mid-batch, exercising the executor's reap path.
+        # lookup raises mid-sweep while sibling batches are still running.
         bad = RunJob(
-            key="bad", protocol=Protocol.POLYRAPTOR,
+            key="bad-h999", protocol=Protocol.POLYRAPTOR,
             config=PAYLOAD_CONFIG.with_seed(9),
             transfers=(TransferSpec(transfer_id=1, kind=TransferKind.UNICAST,
                                     client="h999", peers=("h0",),
                                     size_bytes=48_000, start_time=0.0),),
         )
-        with pytest.raises(WorkerJobError, match="bad"):
-            execute_jobs(jobs + [bad], num_workers=2, transport="shm", chunk=1)
-        # The autouse fixture asserts no /dev/shm leak after pool teardown.
+        old_pids = warm_worker_pool(2).worker_pids
+        with pytest.raises(WorkerJobError, match="bad-h999"):
+            execute_jobs(jobs + [bad], num_workers=2)
+        assert all(_exited(pid) for pid in old_pids)
+
+        runs = execute_jobs(jobs, num_workers=2)
+        assert not last_profile().pool_reused
+        assert not set(get_worker_pool(2)[0].worker_pids) & set(old_pids)
+        assert _fingerprints(runs) == _fingerprints(execute_jobs(jobs, num_workers=1))
 
 
 class TestPersistentPool:
     def test_pool_is_reused_across_sweeps(self):
         jobs = _payload_jobs(seeds=(1, 2))
-        execute_jobs(jobs, num_workers=2, transport="shm")
-        pool, reused = get_worker_pool(2, transport="shm")
+        execute_jobs(jobs, num_workers=2)
+        pool, reused = get_worker_pool(2)
         pids = pool.worker_pids
         assert reused
-        execute_jobs(jobs, num_workers=2, transport="shm")
+        execute_jobs(jobs, num_workers=2)
         profile = last_profile()
         assert profile.pool_reused
         assert profile.pool_spawn_s == 0.0
-        pool, reused = get_worker_pool(2, transport="shm")
+        pool, reused = get_worker_pool(2)
         assert reused and pool.worker_pids == pids
 
     def test_plan_store_ships_once_per_sweep_shape(self):
         jobs = _payload_jobs(seeds=(1, 2))
-        execute_jobs(jobs, num_workers=2, transport="shm")
+        execute_jobs(jobs, num_workers=2)
         first = last_profile()
-        execute_jobs(jobs, num_workers=2, transport="shm")
+        execute_jobs(jobs, num_workers=2)
         second = last_profile()
         assert first.plans_ship_s > 0.0  # shipped on the first sweep
         assert second.plans_ship_s == 0.0  # identical store: not re-shipped
 
     def test_shape_change_restarts_pool(self):
-        jobs = _payload_jobs(seeds=(1,))
-        execute_jobs(jobs + _payload_jobs(seeds=(2,)), num_workers=2, transport="shm")
-        old = get_worker_pool(2, transport="shm")[0].worker_pids
-        execute_jobs(jobs + _payload_jobs(seeds=(2,)), num_workers=3, transport="shm")
-        new = get_worker_pool(3, transport="shm")[0].worker_pids
+        jobs = _payload_jobs(seeds=(1, 2))
+        execute_jobs(jobs, num_workers=2)
+        old = get_worker_pool(2)[0].worker_pids
+        execute_jobs(jobs, num_workers=3)
+        new = get_worker_pool(3)[0].worker_pids
         assert len(new) == 3
         assert set(new) != set(old)
 
-    def test_shm_ships_an_order_of_magnitude_fewer_pipe_bytes(self):
-        jobs = _payload_jobs()
-        execute_jobs(jobs, num_workers=2, transport="shm")
-        shm_profile = last_profile()
-        execute_jobs(jobs, num_workers=2, transport="pickle")
-        pickle_profile = last_profile()
-        assert shm_profile.shm_bytes > 0
-        assert pickle_profile.shm_bytes == 0
-        # The tentpole's point: payloads leave the pipe.  Descriptors are a
-        # fixed few dozen bytes; pickled jobs+results+plans are kilobytes.
-        assert pickle_profile.bytes_shipped >= 10 * shm_profile.bytes_shipped
 
+class TestWorkerCounts:
+    """Every worker count and every batch size matches jobs=1."""
 
-class TestTransportDeterminism:
-    """jobs in {1, 2, 4} x {shm, pickle} must all produce identical results."""
+    #: 25 jobs at ~4 batches per worker: the batch size differs per count.
+    CHUNK_FOR_WORKERS = {2: 4, 3: 3, 4: 2}
 
     @pytest.fixture(scope="class")
     def baseline(self):
-        jobs = _payload_jobs()
+        jobs = _payload_jobs(seeds=range(1, 26))
         return jobs, _fingerprints(execute_jobs(jobs, num_workers=1))
 
-    @pytest.mark.parametrize("workers", [2, 4])
-    @pytest.mark.parametrize("transport", ["shm", "pickle"])
-    def test_unicast_fetch_sweep_matches_sequential(self, baseline, workers, transport):
+    @pytest.mark.parametrize("workers", [2, 3, 4])
+    def test_unicast_fetch_sweep_matches_sequential(self, baseline, workers):
         jobs, expected = baseline
-        runs = execute_jobs(jobs, num_workers=workers, transport=transport)
+        runs = execute_jobs(jobs, num_workers=workers)
+        assert last_profile().chunk_size == self.CHUNK_FOR_WORKERS[workers]
         assert _fingerprints(runs) == expected
 
     def test_chunk_size_never_affects_results(self, baseline):
+        """Batch sizes ``execute_jobs`` never derives, driven on the pool."""
         jobs, expected = baseline
+        pool = warm_worker_pool(2)
+        pool.ship_plan_store(plan_store_for_jobs(jobs))
         for chunk in (1, 3, 64):
-            runs = execute_jobs(jobs, num_workers=2, transport="shm", chunk=chunk)
+            profile = ExecutorProfile()
+            runs = pool.run_jobs(jobs, chunk, None, profile)
+            assert profile.num_batches == -(-len(jobs) // chunk)
             assert _fingerprints(runs) == expected
 
 
@@ -295,7 +207,7 @@ class TestScenarioDeterminism:
         assert result.exec_profile is not None
         assert result.exec_profile["workers"] == 2
         assert result.exec_profile["jobs_total"] == 4
-        assert result.exec_profile["transport"] in ("shm", "pickle")
+        assert result.exec_profile["transport"] == "pickle"
 
 
 class TestDecodePrewarm:
