@@ -8,9 +8,10 @@ and the legacy exact-ESI keys under >= 10% loss.  Results land in
 ``benchmarks/results/BENCH_gf_kernels.json`` so future PRs can track kernel
 throughput over time.
 
-The headline assertion: the best available kernel (``numba`` when
-importable, else ``blocked``) beats the ``numpy`` ground-truth kernel on
-warm repeated-block work.
+The headline assertion: the best available kernel (``native`` whenever a C
+compiler or a prebuilt library is present) is at least ``SPEEDUP_FLOOR``
+times faster than the ``numpy`` ground-truth kernel on warm repeated-block
+work.
 """
 
 from __future__ import annotations
@@ -32,10 +33,11 @@ SYMBOL_SIZE = 1408
 RESULTS_DIR = Path(__file__).parent / "results"
 
 #: Warm-block speedup the best available kernel must reach over ``numpy`` on
-#: combined encode+decode time at the largest K'.  The pure-numpy ``blocked``
-#: kernel measures ~1.2x locally; ``numba`` is far above.  Kept modest so CI
-#: hardware noise cannot flip a real improvement into a failure.
-SPEEDUP_FLOOR = 1.05
+#: combined encode+decode time at the largest K'.  On an AVX2 x86-64 host the
+#: ``native`` kernel measures 17-22x here (its replay matmul alone 21-28x);
+#: the floor assumes that vector path -- the scalar table loop other CPUs run
+#: is only ~1.7x ``numpy``.
+SPEEDUP_FLOOR = 10.0
 
 
 def _source_blocks(k: int, count: int = 5) -> list[list[bytes]]:

@@ -124,10 +124,10 @@ def _jobs_type(value: str) -> int:
 def _kernel_type(value: str) -> str:
     """Validate --kernel at parse time, including platform availability.
 
-    An explicitly requested kernel that cannot run here (e.g. ``numba``
-    without numba installed) must fail before any simulation starts -- in a
-    sharded sweep the TCP baselines would otherwise complete and the first
-    Polyraptor job die with a worker traceback.
+    An explicitly requested kernel that cannot run here (``native`` with no
+    C compiler and no prebuilt library) must fail before any simulation
+    starts -- in a sharded sweep the TCP baselines would otherwise complete
+    and the first Polyraptor job die with a worker traceback.
     """
     if value == "auto" or value in available_kernels():
         return value
@@ -223,7 +223,7 @@ def _add_common_arguments(parser: argparse.ArgumentParser) -> None:
                         metavar="{auto,%s}" % ",".join(registered_kernels()),
                         help="GF(256) kernel for codec linear algebra; 'auto' "
                              "honours REPRO_GF_KERNEL then picks the best "
-                             "available (numba when importable, else blocked). "
+                             "available (native when it can be built, else numpy). "
                              "Workers of a sharded sweep inherit this choice. "
                              "Results are byte-identical for every kernel.")
     parser.add_argument("--paper-scale", action="store_true",

@@ -74,8 +74,8 @@ class PolyraptorConfig:
         codec_kernel: which :mod:`repro.rq.kernels` GF(256) kernel executes
             the codec's linear algebra: ``"auto"`` (the default; honours the
             ``REPRO_GF_KERNEL`` environment variable, then picks the best
-            available -- ``numba`` when importable, else ``blocked``),
-            ``"numpy"``, ``"blocked"`` or ``"numba"``.  The choice travels
+            available -- ``native`` when it can be built, else ``numpy``),
+            ``"numpy"`` or ``"native"``.  The choice travels
             inside :class:`~repro.experiments.parallel.RunJob` configs, so
             sharded workers inherit the parent's kernel.  Symbols are
             byte-identical for every kernel; only wall-clock changes.

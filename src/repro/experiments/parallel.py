@@ -503,13 +503,13 @@ def _worker_main(worker_id: int, tasks, results) -> None:
 
     Runs until a ``stop`` message arrives.  Initialisation happens exactly
     once per worker process: the heavy imports were paid when this module
-    loaded, and the GF(256) kernel tables plus a codec context are warmed
+    loaded, and the GF(256) kernel choice plus a codec context are resolved
     here so the first job finds everything hot.
     """
     init_start = time.perf_counter()
     from repro.rq.kernels import get_kernel
 
-    get_kernel(None)  # resolve + build the default kernel's tables
+    get_kernel(None)  # resolve only: a native build waits for the first byte operation
     CodecContext()  # warm backend construction once
     results.put(("ready", worker_id, time.perf_counter() - init_start))
     plan_store: Optional[PlanStore] = None

@@ -6,7 +6,7 @@ RFC 6330 section 5.7.  Addition is XOR; multiplication uses exp/log tables.
 
 The module exposes scalar operations plus numpy-vectorised helpers used by
 the Gaussian-elimination solver (scaling whole rows, scaling a batch of rows
-by per-row factors).
+by per-row factors, the fused multiply-XOR row operation).
 """
 
 from __future__ import annotations
@@ -121,6 +121,24 @@ def gf_scale_rows(rows: np.ndarray, factors: np.ndarray) -> np.ndarray:
     scaled = np.where(nonzero_cells, OCT_EXP[logs], 0).astype(np.uint8)
     result[nonzero_factor] = scaled
     return result
+
+
+def gf_addmul_rows(
+    work: np.ndarray, source_row: int, targets: np.ndarray, factors: np.ndarray
+) -> None:
+    """In place: ``work[targets] ^= factors[:, None] * work[source_row]``.
+
+    The fused multiply-XOR of Gaussian elimination: eliminate a pivot column
+    from many rows at once.  ``targets`` must be distinct row indices other
+    than ``source_row``.
+    """
+    if work.ndim != 2:
+        raise ValueError("work must be a 2-D array")
+    targets = np.asarray(targets, dtype=np.intp)
+    if targets.size:
+        work[targets] ^= gf_scale_rows(
+            np.tile(work[source_row], (targets.size, 1)), np.asarray(factors, dtype=np.uint8)
+        )
 
 
 def _build_mul_table() -> np.ndarray:

@@ -5,27 +5,36 @@ elimination plan, which symbol rows); this module decides *how* the bytes
 are crunched.  A :class:`GFKernel` bundles the three operations the codec's
 hot paths consume:
 
-* ``matmul``     -- batched GF(256) matrix product, the workhorse of
+* ``matmul``      -- batched GF(256) matrix product, the workhorse of
   elimination-plan replay (``R . D`` over a whole symbol plane);
-* ``matvec``     -- matrix-vector product (single-symbol paths, tests);
-* ``scale_rows`` -- per-row scaling, the fused multiply-XOR building block
-  of Gaussian elimination itself.
+* ``matvec``      -- matrix-vector product (single-symbol paths, tests);
+* ``addmul_rows`` -- the fused multiply-XOR of Gaussian elimination,
+  ``work[targets] ^= factors * work[source_row]``, in place.
 
-Three kernels register here:
+Two kernels register here:
 
-* ``numpy``   -- the original table-lookup implementations from
-  :mod:`repro.rq.gf256`, kept verbatim as ground truth;
-* ``blocked`` -- a pure-numpy variant that reuses one scratch plane per
-  product and streams the multiplication-table gathers through it in
-  column tiles (``np.take(..., out=scratch)`` + in-place XOR), avoiding the
-  per-column (rows x symbol_size) allocation the ``numpy`` kernel pays;
-* ``numba``   -- nopython-JIT'd loops over the same tables; registered
-  always, *available* only when :mod:`numba` imports.
+* ``numpy``  -- the table-lookup implementations from :mod:`repro.rq.gf256`,
+  kept as ground truth;
+* ``native`` -- a small C library (``_gf256.c``: split-nibble ``PSHUFB``
+  multiply-XOR with AVX2 chosen at run time, a scalar table loop
+  elsewhere), loaded with :mod:`ctypes`.
+
+The native library is built lazily with the system C compiler
+(``cc -O2 -shared -fPIC``) on the kernel's *first byte operation* --
+importing this module, resolving a kernel or asking what is available never
+compiles or loads anything.  The build lands next to the C file as
+``_gf256-<sha12>.so``, keyed by the hash of the source, the flags and the
+platform, so it happens once per checkout; it is written to a temporary
+name and moved into place with :func:`os.replace` under an exclusive
+``flock`` on the source, so concurrent first users (a client and its
+server, pool workers) neither compile twice nor load a half-written file.
+``native`` is *available* when that library exists, or when a compiler is
+on ``PATH`` and the directory is writable.
 
 Selection is by name through :func:`get_kernel`: an explicit name wins,
 otherwise the ``REPRO_GF_KERNEL`` environment variable, otherwise the best
-available kernel by :attr:`GFKernel.priority` (``numba`` when importable,
-else ``blocked``).  An unavailable *explicit* choice raises; an unavailable
+available kernel by :attr:`GFKernel.priority` (``native`` when available,
+else ``numpy``).  An unavailable *explicit* choice raises; an unavailable
 *environment* choice warns and falls back, so ambient configuration can
 never break a run.  Every kernel produces byte-identical results (GF(256)
 arithmetic is exact), which ``tests/rq/test_kernels.py`` enforces against
@@ -34,14 +43,27 @@ the ``numpy`` ground truth.
 
 from __future__ import annotations
 
+import ctypes
+import hashlib
 import os
+import shutil
+import subprocess
+import sysconfig
+import threading
 import warnings
 from abc import ABC, abstractmethod
+from functools import lru_cache
+from pathlib import Path
 from typing import ClassVar, Optional, Union
 
 import numpy as np
 
-from repro.rq.gf256 import MUL_TABLE, gf_matmul, gf_matvec, gf_scale_rows
+from repro.rq.gf256 import MUL_TABLE, gf_addmul_rows, gf_matmul, gf_matvec
+
+try:  # POSIX only; elsewhere concurrent first builds just both compile
+    import fcntl
+except ImportError:  # pragma: no cover
+    fcntl = None
 
 #: Environment variable consulted when no kernel is named explicitly.
 KERNEL_ENV_VAR = "REPRO_GF_KERNEL"
@@ -69,7 +91,7 @@ def available_kernels() -> list[str]:
 
 
 def best_kernel_name() -> str:
-    """The highest-priority available kernel (``numba`` > ``blocked`` > ``numpy``)."""
+    """The highest-priority available kernel (``native`` > ``numpy``)."""
     names = available_kernels()
     return max(names, key=lambda name: _KERNELS[name].priority)
 
@@ -105,7 +127,8 @@ def get_kernel(choice: Union[str, "GFKernel", None] = None) -> "GFKernel":
 
     Raises:
         ValueError: for an unknown name, or an explicit name whose kernel is
-            not available on this platform (e.g. ``"numba"`` without numba).
+            not available on this platform (``"native"`` without a compiler
+            or a prebuilt library).
     """
     if isinstance(choice, GFKernel):
         return choice
@@ -114,7 +137,8 @@ def get_kernel(choice: Union[str, "GFKernel", None] = None) -> "GFKernel":
     cls = _KERNELS.get(choice)
     if cls is None:
         raise ValueError(
-            f"unknown GF(256) kernel {choice!r}; registered: {', '.join(registered_kernels())}"
+            f"unknown GF(256) kernel {choice!r}; choose 'auto' or one of: "
+            f"{', '.join(registered_kernels())}"
         )
     if not cls.is_available():
         raise ValueError(
@@ -153,13 +177,19 @@ class GFKernel(ABC):
         """GF(256) matrix-vector product (uint8 in, uint8 out)."""
 
     @abstractmethod
-    def scale_rows(self, rows: np.ndarray, factors: np.ndarray) -> np.ndarray:
-        """Scale each row of ``rows`` by the matching entry of ``factors``."""
+    def addmul_rows(
+        self, work: np.ndarray, source_row: int, targets: np.ndarray, factors: np.ndarray
+    ) -> None:
+        """In place: ``work[targets] ^= factors[:, None] * work[source_row]``.
+
+        ``targets`` are distinct rows other than ``source_row``; ``work`` may
+        be a column slice of a larger array (its rows must each be contiguous).
+        """
 
 
 @register_kernel
 class NumpyKernel(GFKernel):
-    """The original :mod:`repro.rq.gf256` implementations -- ground truth."""
+    """The :mod:`repro.rq.gf256` implementations -- ground truth."""
 
     name = "numpy"
     priority = 0
@@ -170,54 +200,156 @@ class NumpyKernel(GFKernel):
     def matvec(self, matrix: np.ndarray, vector: np.ndarray) -> np.ndarray:
         return gf_matvec(matrix, vector)
 
-    def scale_rows(self, rows: np.ndarray, factors: np.ndarray) -> np.ndarray:
-        return gf_scale_rows(rows, factors)
+    def addmul_rows(
+        self, work: np.ndarray, source_row: int, targets: np.ndarray, factors: np.ndarray
+    ) -> None:
+        gf_addmul_rows(work, source_row, targets, factors)
+
+
+# Native library: lazy, hash-keyed, once-per-checkout build ------------------------
+
+_SOURCE = Path(__file__).with_name("_gf256.c")
+_COMPILER = "cc"
+_CFLAGS = ("-O2", "-shared", "-fPIC")
+#: Serialises building and loading within the process (the ``flock`` below
+#: covers other processes); re-entrant because loading builds.
+_BUILD_LOCK = threading.RLock()
+_LIBRARY: Optional[ctypes.CDLL] = None
+#: Set when a build failed in this process; ``native`` is then unavailable.
+_BUILD_ERROR: Optional[str] = None
+
+
+@lru_cache(maxsize=None)
+def library_path(source: Path = _SOURCE) -> Path:
+    """Where the build of ``source`` lives: next to it, keyed by content hash."""
+    digest = hashlib.sha256(source.read_bytes())
+    digest.update(" ".join((_COMPILER, *_CFLAGS, sysconfig.get_platform())).encode())
+    return source.with_name(f"{source.stem}-{digest.hexdigest()[:12]}.so")
+
+
+def _find_compiler() -> Optional[str]:
+    return shutil.which(_COMPILER)
+
+
+@lru_cache(maxsize=None)
+def _can_build() -> bool:
+    """A compiler is on ``PATH`` and the source's directory is writable.
+
+    Checked once per process: kernel resolution asks on every
+    :class:`~repro.rq.backend.CodecContext`, and a ``PATH`` scan costs far
+    more than the rest of it.
+    """
+    return _find_compiler() is not None and os.access(_SOURCE.parent, os.W_OK)
+
+
+def build_library(source: Path = _SOURCE) -> Path:
+    """Compile ``source`` unless its hash-keyed build already exists.
+
+    Safe under concurrency: builders serialise on an exclusive ``flock`` of
+    the source file and re-check before compiling, and the output is
+    written to a temporary name and :func:`os.replace`-d into place, so a
+    reader never sees a partial file.
+    """
+    target = library_path(source)
+    with _BUILD_LOCK, open(source, "rb") as handle:
+        if fcntl is not None:
+            fcntl.flock(handle, fcntl.LOCK_EX)
+        if target.exists():
+            return target
+        compiler = _find_compiler()
+        if compiler is None:
+            raise RuntimeError(f"no C compiler ({_COMPILER!r}) on PATH to build {source.name}")
+        temp = str(target.with_name(f".{target.name}.{os.getpid()}.tmp"))
+        try:
+            result = subprocess.run(
+                [compiler, *_CFLAGS, "-o", temp, str(source)],
+                capture_output=True, text=True,
+            )
+            if result.returncode != 0:
+                raise RuntimeError(f"building {source.name} failed:\n{result.stderr.strip()}")
+            os.replace(temp, target)
+        finally:
+            if os.path.exists(temp):
+                os.unlink(temp)
+    return target
+
+
+def _load_library() -> ctypes.CDLL:
+    """Build (at most once) and load the native library; set up its table."""
+    global _LIBRARY
+    if _LIBRARY is not None:
+        return _LIBRARY
+    with _BUILD_LOCK:
+        if _LIBRARY is None:
+            _LIBRARY = _open_library()
+    return _LIBRARY
+
+
+def _open_library() -> ctypes.CDLL:
+    global _BUILD_ERROR
+    try:
+        library = ctypes.CDLL(str(build_library()))
+    except (OSError, RuntimeError) as exc:
+        _BUILD_ERROR = str(exc)
+        raise RuntimeError(f"the native GF(256) kernel is unavailable: {exc}") from exc
+    pointer, size = ctypes.c_void_p, ctypes.c_size_t
+    library.gf256_init.argtypes = [pointer, ctypes.c_int]
+    library.gf256_init.restype = ctypes.c_int
+    library.gf256_matmul.argtypes = [
+        pointer, ctypes.c_ssize_t, pointer, ctypes.c_ssize_t, pointer, size, size, size,
+    ]
+    library.gf256_matmul.restype = None
+    library.gf256_addmul_rows.argtypes = [
+        pointer, size, ctypes.c_ssize_t, size, size, pointer, pointer, size,
+    ]
+    library.gf256_addmul_rows.restype = ctypes.c_int
+    library.gf256_init(MUL_TABLE.ctypes.data, 1)
+    return library
+
+
+def _unit_stride_rows(array: np.ndarray) -> np.ndarray:
+    """``array`` as uint8 with contiguous rows at a positive row stride."""
+    if array.dtype != np.uint8 or array.strides[1] != 1 or array.strides[0] < 0:
+        return np.ascontiguousarray(array, dtype=np.uint8)
+    return array
 
 
 @register_kernel
-class BlockedKernel(GFKernel):
-    """Scratch-reusing, tiled pure-numpy matmul.
+class NativeKernel(GFKernel):
+    """The C split-nibble kernel (``_gf256.c``), built and loaded on first use.
 
-    The ``numpy`` kernel's inner loop allocates a fresh (m x t) gather result
-    for every column of ``a`` (``products[:, value_row]``), which for a warm
-    128-symbol block is ~130 allocations of ~200 KiB each per plan replay.
-    This kernel allocates one scratch plane per product, fills it in place
-    with ``np.take(..., out=...)`` tile by tile, and XOR-accumulates in
-    place -- same table lookups, no per-column garbage, tiles bounded so the
-    scratch stays cache-resident for very wide planes.
+    ``matmul`` runs one fused multiply-XOR per non-zero coefficient straight
+    into the output row; ``addmul_rows`` does elimination's row operation
+    in place, so the solver allocates nothing per pivot.
     """
 
-    name = "blocked"
+    name = "native"
     priority = 10
 
-    #: Symbol-plane columns processed per gather; bounds the scratch plane at
-    #: (rows x 4096) bytes however wide the caller's plane is.
-    tile_columns = 4096
+    @classmethod
+    def is_available(cls) -> bool:
+        """The library exists, or a compiler and a writable directory can make it."""
+        if _BUILD_ERROR is not None:
+            return False
+        try:
+            path = library_path()
+        except OSError:  # the C source was not installed
+            return False
+        return _can_build() or path.exists()
 
     def matmul(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         if a.ndim != 2 or b.ndim != 2:
             raise ValueError("gf matmul needs two 2-D arrays")
         if a.shape[1] != b.shape[0]:
             raise ValueError(f"shape mismatch: {a.shape} . {b.shape}")
-        m, t = a.shape[0], b.shape[1]
+        (m, n), t = a.shape, b.shape[1]
         out = np.zeros((m, t), dtype=np.uint8)
-        if m == 0 or t == 0 or a.shape[1] == 0:
-            return out
-        tile = min(t, self.tile_columns)
-        scratch = np.empty((m, tile), dtype=np.uint8)
-        for k in range(a.shape[1]):
-            column = a[:, k]
-            if not column.any():
-                continue
-            value_row = b[k]
-            if not value_row.any():
-                continue
-            products = MUL_TABLE[column]
-            for start in range(0, t, tile):
-                stop = min(start + tile, t)
-                window = scratch[:, : stop - start]
-                np.take(products, value_row[start:stop], axis=1, out=window)
-                np.bitwise_xor(out[:, start:stop], window, out=out[:, start:stop])
+        if m and n and t:
+            a, b = _unit_stride_rows(a), _unit_stride_rows(b)
+            _load_library().gf256_matmul(
+                a.ctypes.data, a.strides[0], b.ctypes.data, b.strides[0],
+                out.ctypes.data, m, n, t,
+            )
         return out
 
     def matvec(self, matrix: np.ndarray, vector: np.ndarray) -> np.ndarray:
@@ -225,125 +357,26 @@ class BlockedKernel(GFKernel):
             raise ValueError("gf matvec needs a 2-D matrix and a 1-D vector")
         return self.matmul(matrix, vector.reshape(-1, 1))[:, 0]
 
-    def scale_rows(self, rows: np.ndarray, factors: np.ndarray) -> np.ndarray:
-        return gf_scale_rows(rows, factors)
-
-
-# Numba kernel -----------------------------------------------------------------------
-#
-# The jitted loops close over the shared multiplication table; they are
-# compiled once per process, lazily, the first time the kernel runs.  The
-# class is *registered* unconditionally (so names/validation stay uniform)
-# but *available* only when numba imports.
-
-_NUMBA_FUNCS: Optional[dict] = None
-_NUMBA_OK: Optional[bool] = None
-
-
-def _numba_importable() -> bool:
-    global _NUMBA_OK
-    if _NUMBA_OK is None:
-        try:
-            import numba  # noqa: F401
-
-            _NUMBA_OK = True
-        except Exception:  # pragma: no cover - exercised only without numba
-            _NUMBA_OK = False
-    return _NUMBA_OK
-
-
-def _numba_funcs() -> dict:
-    """Compile (once) and return the jitted matmul/matvec/scale_rows."""
-    global _NUMBA_FUNCS
-    if _NUMBA_FUNCS is not None:
-        return _NUMBA_FUNCS
-    import numba
-
-    @numba.njit(cache=False, nogil=True)
-    def matmul(a, b, mul_table):  # pragma: no cover - requires numba
-        m, n = a.shape
-        t = b.shape[1]
-        out = np.zeros((m, t), dtype=np.uint8)
-        for i in range(m):
-            accumulator = out[i]
-            for k in range(n):
-                coefficient = a[i, k]
-                if coefficient == 0:
-                    continue
-                lut = mul_table[coefficient]
-                row = b[k]
-                for j in range(t):
-                    accumulator[j] ^= lut[row[j]]
-        return out
-
-    @numba.njit(cache=False, nogil=True)
-    def matvec(matrix, vector, mul_table):  # pragma: no cover - requires numba
-        m, n = matrix.shape
-        out = np.zeros(m, dtype=np.uint8)
-        for i in range(m):
-            accumulator = np.uint8(0)
-            for k in range(n):
-                coefficient = matrix[i, k]
-                if coefficient != 0:
-                    accumulator ^= mul_table[coefficient, vector[k]]
-            out[i] = accumulator
-        return out
-
-    @numba.njit(cache=False, nogil=True)
-    def scale_rows(rows, factors, mul_table):  # pragma: no cover - requires numba
-        n, m = rows.shape
-        out = np.zeros((n, m), dtype=np.uint8)
-        for i in range(n):
-            factor = factors[i]
-            if factor == 0:
-                continue
-            lut = mul_table[factor]
-            for j in range(m):
-                out[i, j] = lut[rows[i, j]]
-        return out
-
-    _NUMBA_FUNCS = {"matmul": matmul, "matvec": matvec, "scale_rows": scale_rows}
-    return _NUMBA_FUNCS
-
-
-@register_kernel
-class NumbaKernel(GFKernel):
-    """Nopython-JIT'd table-lookup loops (requires :mod:`numba`).
-
-    The loops fuse the gather and the XOR-accumulate cell by cell, so there
-    are no intermediate planes at all; with numba installed this is the
-    fastest kernel by a wide margin and auto-selection prefers it.
-    """
-
-    name = "numba"
-    priority = 20
-
-    @classmethod
-    def is_available(cls) -> bool:
-        return _numba_importable()
-
-    def matmul(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        if a.ndim != 2 or b.ndim != 2:
-            raise ValueError("gf matmul needs two 2-D arrays")
-        if a.shape[1] != b.shape[0]:
-            raise ValueError(f"shape mismatch: {a.shape} . {b.shape}")
-        funcs = _numba_funcs()
-        return funcs["matmul"](
-            np.ascontiguousarray(a), np.ascontiguousarray(b), MUL_TABLE
+    def addmul_rows(
+        self, work: np.ndarray, source_row: int, targets: np.ndarray, factors: np.ndarray
+    ) -> None:
+        if work.ndim != 2:
+            raise ValueError("work must be a 2-D array")
+        rows, width = work.shape
+        targets = np.ascontiguousarray(targets, dtype=np.intp)
+        factors = np.ascontiguousarray(factors, dtype=np.uint8)
+        if targets.shape != factors.shape or targets.ndim != 1:
+            raise ValueError("targets and factors must be matching 1-D arrays")
+        if not targets.size or not width:
+            return
+        if work.dtype != np.uint8 or work.strides[1] != 1 or not work.flags.writeable:
+            raise ValueError("work must be a writable uint8 array with contiguous rows")
+        status = _load_library().gf256_addmul_rows(
+            work.ctypes.data, rows, work.strides[0], width, source_row,
+            targets.ctypes.data, factors.ctypes.data, targets.size,
         )
-
-    def matvec(self, matrix: np.ndarray, vector: np.ndarray) -> np.ndarray:
-        if matrix.ndim != 2 or vector.ndim != 1:
-            raise ValueError("gf matvec needs a 2-D matrix and a 1-D vector")
-        funcs = _numba_funcs()
-        return funcs["matvec"](
-            np.ascontiguousarray(matrix), np.ascontiguousarray(vector), MUL_TABLE
-        )
-
-    def scale_rows(self, rows: np.ndarray, factors: np.ndarray) -> np.ndarray:
-        if rows.ndim != 2:
-            raise ValueError("rows must be a 2-D array")
-        funcs = _numba_funcs()
-        return funcs["scale_rows"](
-            np.ascontiguousarray(rows), np.ascontiguousarray(factors), MUL_TABLE
-        )
+        if status:
+            raise IndexError(
+                f"addmul_rows needs a source row and targets in range({rows}), "
+                f"and no target equal to the source row {source_row}"
+            )

@@ -16,11 +16,16 @@ symbols exactly.
 
 from __future__ import annotations
 
+from typing import TYPE_CHECKING, Optional
+
 import numpy as np
 
 from repro.rq.gf256 import alpha_power, gf_mul
 from repro.rq.params import CodeParameters
 from repro.rq.rand import rand
+
+if TYPE_CHECKING:  # pragma: no cover
+    from repro.rq.kernels import GFKernel
 
 
 def lt_row(params: CodeParameters, internal_symbol_id: int) -> np.ndarray:
@@ -120,11 +125,11 @@ def build_constraint_matrix(params: CodeParameters) -> np.ndarray:
     return matrix
 
 
-def matrix_rank_gf256(matrix: np.ndarray) -> int:
+def matrix_rank_gf256(matrix: np.ndarray, kernel: Optional["GFKernel"] = None) -> int:
     """Compute the rank of a matrix over GF(256) (destructive on a copy)."""
     from repro.rq.solver import gaussian_rank
 
-    return gaussian_rank(matrix)
+    return gaussian_rank(matrix, kernel=kernel)
 
 
 def find_systematic_seed(params: CodeParameters, max_attempts: int = 64) -> int:
@@ -136,10 +141,13 @@ def find_systematic_seed(params: CodeParameters, max_attempts: int = 64) -> int:
     """
     from dataclasses import replace
 
+    from repro.rq.kernels import get_kernel
+
+    kernel = get_kernel(None)
     for seed in range(max_attempts):
         candidate = replace(params, systematic_seed=seed)
         matrix = build_constraint_matrix(candidate)
-        if matrix_rank_gf256(matrix) == candidate.num_intermediate_symbols:
+        if matrix_rank_gf256(matrix, kernel) == candidate.num_intermediate_symbols:
             return seed
     raise RuntimeError(
         f"no systematic seed found for K={params.num_source_symbols} "

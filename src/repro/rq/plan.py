@@ -51,7 +51,7 @@ from typing import (
 
 import numpy as np
 
-from repro.rq.gf256 import gf_matmul, gf_scale_rows, gf_scale_vector
+from repro.rq.gf256 import gf_addmul_rows, gf_matmul, gf_scale_vector
 from repro.rq.matrix import build_constraint_matrix, hdpc_rows, ldpc_rows, lt_row
 from repro.rq.params import CodeParameters
 from repro.rq.solver import solve
@@ -166,10 +166,7 @@ class EliminationPlan:
             elif step.kind == "scale":
                 work[step.rows[0]] = gf_scale_vector(work[step.rows[0]], int(step.factors[0]))
             else:
-                source = work[step.source_row]
-                work[step.rows] ^= gf_scale_rows(
-                    np.tile(source, (step.rows.size, 1)), step.factors
-                )
+                gf_addmul_rows(work, step.source_row, step.rows, step.factors)
         return work[: self.num_unknowns]
 
 

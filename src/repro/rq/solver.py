@@ -19,7 +19,7 @@ from typing import TYPE_CHECKING, Optional, Protocol
 
 import numpy as np
 
-from repro.rq.gf256 import gf_inv, gf_scale_rows, gf_scale_vector
+from repro.rq.gf256 import gf_addmul_rows, gf_inv, gf_scale_vector
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.rq.kernels import GFKernel
@@ -42,31 +42,30 @@ class SingularMatrixError(ValueError):
     """Raised when the system does not have full column rank."""
 
 
-def gaussian_rank(matrix: np.ndarray) -> int:
-    """Return the rank of ``matrix`` over GF(256) (the input is not modified)."""
+def gaussian_rank(matrix: np.ndarray, kernel: Optional["GFKernel"] = None) -> int:
+    """Return the rank of ``matrix`` over GF(256) (the input is not modified).
+
+    ``kernel`` runs the row operations, as in :func:`solve`; every kernel
+    gives the same rank.
+    """
+    addmul_rows = gf_addmul_rows if kernel is None else kernel.addmul_rows
     work = matrix.astype(np.uint8).copy()
     rows, cols = work.shape
     rank = 0
     for col in range(cols):
-        pivot = None
-        for row in range(rank, rows):
-            if work[row, col]:
-                pivot = row
-                break
-        if pivot is None:
+        candidates = np.flatnonzero(work[rank:, col])
+        if not candidates.size:
             continue
+        pivot = rank + int(candidates[0])
         if pivot != rank:
             work[[rank, pivot]] = work[[pivot, rank]]
-        pivot_value = int(work[rank, col])
+        # Rows from ``rank`` down are zero left of ``col`` (forward elimination).
+        active = work[:, col:]
+        pivot_value = int(active[rank, 0])
         if pivot_value != 1:
-            work[rank] = gf_scale_vector(work[rank], gf_inv(pivot_value))
-        column = work[rank + 1 :, col]
-        targets = np.nonzero(column)[0]
-        if targets.size:
-            factors = column[targets]
-            work[rank + 1 + targets] ^= gf_scale_rows(
-                np.tile(work[rank], (targets.size, 1)), factors
-            )
+            active[rank] = gf_scale_vector(active[rank], gf_inv(pivot_value))
+        targets = rank + 1 + np.flatnonzero(active[rank + 1 :, 0])
+        addmul_rows(active, rank, targets, active[targets, 0])
         rank += 1
         if rank == rows:
             break
@@ -82,6 +81,11 @@ def solve(
 ) -> np.ndarray:
     """Solve ``matrix . X = values`` for X over GF(256).
 
+    Elimination runs on one augmented ``[matrix | values]`` array, so each
+    pivot costs a single fused multiply-XOR call over both halves.  Columns
+    left of the pivot are already zero in the pivot row (Gauss-Jordan), so
+    each row operation only touches the columns from the pivot rightwards.
+
     Args:
         matrix: (n, L) uint8 coefficient matrix; ``n >= L`` is required.
         values: (n, T) uint8 right-hand sides (one row of T bytes per equation).
@@ -90,7 +94,7 @@ def solve(
             the recorded sequence depends only on ``matrix``, never on
             ``values``, so it can be replayed against other right-hand sides.
         kernel: optional :class:`~repro.rq.kernels.GFKernel` whose
-            ``scale_rows`` executes the fused multiply-XOR row operations;
+            ``addmul_rows`` executes the fused multiply-XOR row operations;
             defaults to the numpy ground truth.  Every kernel computes the
             exact same field arithmetic, so the solution (and any recorded
             plan) is byte-identical regardless of the choice.
@@ -101,55 +105,46 @@ def solve(
     Raises:
         SingularMatrixError: if the system does not have full column rank.
     """
-    scale_rows = gf_scale_rows if kernel is None else kernel.scale_rows
-    work = matrix.astype(np.uint8).copy()
-    rhs = values.astype(np.uint8).copy()
-    rows, cols = work.shape
+    addmul_rows = gf_addmul_rows if kernel is None else kernel.addmul_rows
+    rows, cols = matrix.shape
     unknowns = cols if num_unknowns is None else num_unknowns
-    if rhs.shape[0] != rows:
-        raise ValueError(f"matrix has {rows} rows but values has {rhs.shape[0]}")
+    if values.shape[0] != rows:
+        raise ValueError(f"matrix has {rows} rows but values has {values.shape[0]}")
     if rows < unknowns:
         raise SingularMatrixError(
             f"not enough equations: {rows} rows for {unknowns} unknowns"
         )
+    work = np.empty((rows, cols + values.shape[1]), dtype=np.uint8)
+    work[:, :cols] = matrix
+    work[:, cols:] = values
 
-    pivot_column_of_row: list[int] = []
-    rank = 0
     for col in range(unknowns):
-        pivot = None
-        for row in range(rank, rows):
-            if work[row, col]:
-                pivot = row
-                break
-        if pivot is None:
+        candidates = np.flatnonzero(work[col:, col])
+        if not candidates.size:
             raise SingularMatrixError(f"no pivot available for column {col}")
-        if pivot != rank:
-            work[[rank, pivot]] = work[[pivot, rank]]
-            rhs[[rank, pivot]] = rhs[[pivot, rank]]
+        # Column ``col`` has its pivot in row ``col``: every earlier column
+        # found one, in order.
+        pivot = col + int(candidates[0])
+        if pivot != col:
+            work[[col, pivot]] = work[[pivot, col]]
             if recorder is not None:
-                recorder.swap(rank, pivot)
-        pivot_value = int(work[rank, col])
+                recorder.swap(col, pivot)
+        active = work[:, col:]
+        pivot_value = int(active[col, 0])
         if pivot_value != 1:
             inverse = gf_inv(pivot_value)
-            work[rank] = gf_scale_vector(work[rank], inverse)
-            rhs[rank] = gf_scale_vector(rhs[rank], inverse)
+            active[col] = gf_scale_vector(active[col], inverse)
             if recorder is not None:
-                recorder.scale(rank, inverse)
+                recorder.scale(col, inverse)
         # Eliminate the pivot column from every other row (Gauss-Jordan) so the
         # solution can be read off directly at the end.
-        column = work[:, col].copy()
-        column[rank] = 0
-        targets = np.nonzero(column)[0]
+        column = active[:, 0].copy()
+        column[col] = 0
+        targets = np.flatnonzero(column)
         if targets.size:
             factors = column[targets]
-            work[targets] ^= scale_rows(np.tile(work[rank], (targets.size, 1)), factors)
-            rhs[targets] ^= scale_rows(np.tile(rhs[rank], (targets.size, 1)), factors)
+            addmul_rows(active, col, targets, factors)
             if recorder is not None:
-                recorder.eliminate(rank, targets.copy(), factors.copy())
-        pivot_column_of_row.append(col)
-        rank += 1
+                recorder.eliminate(col, targets.copy(), factors.copy())
 
-    solution = np.zeros((unknowns, rhs.shape[1]), dtype=np.uint8)
-    for row, col in enumerate(pivot_column_of_row):
-        solution[col] = rhs[row]
-    return solution
+    return work[:unknowns, cols:].copy()

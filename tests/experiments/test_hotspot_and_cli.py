@@ -95,12 +95,20 @@ class TestCli:
     def test_cli_kernel_flag_threads_into_config(self):
         from repro.cli import _build_config, build_parser
 
-        args = build_parser().parse_args(["figure1a", "--kernel", "blocked"])
-        assert _build_config(args).polyraptor.codec_kernel == "blocked"
+        args = build_parser().parse_args(["figure1a", "--kernel", "numpy"])
+        assert _build_config(args).polyraptor.codec_kernel == "numpy"
         # Default stays auto; bogus names are rejected at parse time.
         assert build_parser().parse_args(["mix"]).kernel == "auto"
         with pytest.raises(SystemExit):
             build_parser().parse_args(["mix", "--kernel", "fortran"])
+
+    @pytest.mark.parametrize("removed", ["blocked", "numba"])
+    def test_cli_rejects_removed_kernels_listing_valid_ones(self, removed, capsys):
+        from repro.cli import build_parser
+
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["mix", "--kernel", removed])
+        assert "choose from: auto, native, numpy" in capsys.readouterr().err
 
     def test_cli_paper_scale_selects_paper_fabric(self):
         from repro.cli import _build_config, build_parser

@@ -1,13 +1,19 @@
 """Tests for the GF(256) kernel registry and canonical decode-plan keys.
 
-Two load-bearing properties:
+Three load-bearing properties:
 
-1. **Kernel equivalence.**  Every available kernel produces byte-identical
-   ``matmul`` / ``matvec`` / ``scale_rows`` results vs the ``numpy`` ground
-   truth on randomised uint8 inputs (including all-zero rows and factors),
-   and full lossy decode sessions come out identical across kernels.
+1. **Kernel equivalence.**  The ``native`` kernel produces byte-identical
+   ``matmul`` / ``matvec`` / ``addmul_rows`` results vs the ``numpy`` ground
+   truth -- property-tested over odd widths, zero and one coefficients,
+   empty shapes, strided views and every one of the 256 factors -- and
+   plans and full lossy decode sessions come out identical across kernels.
 
-2. **Canonical decode keys raise the hit rate under loss** (strictly, with
+2. **The native build is lazy, once, and optional.**  Nothing compiles
+   until a byte operation runs (a payload-off simulation never does),
+   concurrent first users compile once, and with no compiler everything
+   falls back to ``numpy``.
+
+3. **Canonical decode keys raise the hit rate under loss** (strictly, with
    counters straight from :class:`~repro.rq.backend.CodecContext`): blocks
    that lose the same source pattern share one elimination plan no matter
    how many surplus repair symbols each happened to receive, where the
@@ -16,15 +22,27 @@ Two load-bearing properties:
 
 from __future__ import annotations
 
+import os
 import random
+import shutil
+import subprocess
+import sys
+import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.core.config import PolyraptorConfig
+from repro.experiments.config import ExperimentConfig, Protocol
+from repro.experiments.parallel import RunJob, run_job
+from repro.rq import kernels
 from repro.rq.backend import CodecContext, prewarm_decode_plans
 from repro.rq.decoder import BlockDecoder
 from repro.rq.encoder import BlockEncoder
-from repro.rq.gf256 import gf_matmul, gf_matvec, gf_scale_rows
+from repro.rq.gf256 import MUL_TABLE, gf_addmul_rows, gf_matmul, gf_matvec
 from repro.rq.kernels import (
     KERNEL_ENV_VAR,
     available_kernels,
@@ -34,10 +52,24 @@ from repro.rq.kernels import (
     registered_kernels,
 )
 from repro.rq.params import for_k
-from repro.rq.plan import canonical_decode_candidates, canonical_decode_key, missing_source_pattern
+from repro.rq.solver import gaussian_rank
+from repro.rq.plan import (
+    build_plan,
+    canonical_decode_candidates,
+    canonical_decode_key,
+    constraint_matrix,
+    missing_source_pattern,
+    received_matrix,
+)
+from repro.utils.units import KILOBYTE
+from repro.workloads.spec import TransferKind, TransferSpec
 
 K = 16
 SYMBOL_SIZE = 64
+ACCELERATED = sorted(set(available_kernels()) - {"numpy"})
+needs_native = pytest.mark.skipif(
+    "native" not in available_kernels(), reason="no C compiler and no prebuilt library"
+)
 
 
 def source_block(k: int = K, seed: int = 1) -> list[bytes]:
@@ -45,28 +77,48 @@ def source_block(k: int = K, seed: int = 1) -> list[bytes]:
     return [bytes(rng.getrandbits(8) for _ in range(SYMBOL_SIZE)) for _ in range(k)]
 
 
+@pytest.fixture
+def unloaded(monkeypatch):
+    """A process that has neither loaded nor failed to build the native library."""
+    monkeypatch.setattr(kernels, "_LIBRARY", None)
+    monkeypatch.setattr(kernels, "_BUILD_ERROR", None)
+
+
+@pytest.fixture
+def no_native(unloaded, monkeypatch, tmp_path):
+    """A platform with no compiler and no prebuilt native library."""
+    monkeypatch.setattr(kernels, "_can_build", lambda: False)
+    monkeypatch.setattr(kernels, "library_path", lambda source=None: tmp_path / "absent.so")
+
+
 class TestKernelRegistry:
-    def test_all_three_kernels_registered(self):
-        assert {"numpy", "blocked", "numba"} <= set(registered_kernels())
+    def test_registry_is_numpy_and_native(self):
+        assert registered_kernels() == ["native", "numpy"]
 
     def test_pure_python_kernels_always_available(self):
-        assert {"numpy", "blocked"} <= set(available_kernels())
+        assert "numpy" in available_kernels()
 
+    @needs_native
     def test_best_kernel_prefers_acceleration(self):
-        best = best_kernel_name()
-        assert best != "numpy"
-        assert best in available_kernels()
+        assert best_kernel_name() == "native"
 
     def test_get_kernel_rejects_unknown_names(self):
         with pytest.raises(ValueError, match="unknown GF\\(256\\) kernel"):
             get_kernel("does-not-exist")
 
+    @pytest.mark.parametrize("removed", ["blocked", "numba"])
+    def test_removed_kernels_are_rejected_with_the_valid_names(self, removed):
+        with pytest.raises(ValueError, match="'auto' or one of: native, numpy"):
+            get_kernel(removed)
+        with pytest.raises(ValueError, match="choose 'auto' or one of: native, numpy"):
+            PolyraptorConfig(codec_kernel=removed)
+
     def test_get_kernel_passes_instances_through(self):
-        kernel = get_kernel("blocked")
+        kernel = get_kernel("numpy")
         assert get_kernel(kernel) is kernel
 
     def test_instances_are_shared(self):
-        assert get_kernel("blocked") is get_kernel("blocked")
+        assert get_kernel("numpy") is get_kernel("numpy")
 
     def test_env_var_selects_kernel(self, monkeypatch):
         monkeypatch.setenv(KERNEL_ENV_VAR, "numpy")
@@ -78,17 +130,314 @@ class TestKernelRegistry:
         with pytest.warns(RuntimeWarning, match="not an available"):
             assert default_kernel_name() == best_kernel_name()
 
-    def test_explicit_unavailable_kernel_raises(self):
-        unavailable = set(registered_kernels()) - set(available_kernels())
-        for name in unavailable:  # numba, on platforms without it
-            with pytest.raises(ValueError, match="not available"):
-                get_kernel(name)
+    def test_explicit_unavailable_kernel_raises(self, no_native):
+        with pytest.raises(ValueError, match="not available"):
+            get_kernel("native")
 
     def test_context_reports_kernel_in_stats(self):
-        context = CodecContext("planned", kernel="blocked")
+        context = CodecContext("planned", kernel="numpy")
         stats = context.stats_dict()
-        assert stats["kernel"] == "blocked"
+        assert stats["kernel"] == "numpy"
         assert stats["canonical_decode_plans"] is True
+
+
+class TestNativeFallback:
+    """Without a compiler (or when the build fails) everything runs on numpy."""
+
+    def test_no_compiler_means_numpy_only(self, no_native, monkeypatch):
+        assert available_kernels() == ["numpy"]
+        assert best_kernel_name() == "numpy"
+        assert CodecContext("planned").kernel_name == "numpy"
+        with pytest.raises(ValueError, match="not available"):
+            get_kernel("native")
+        monkeypatch.setenv(KERNEL_ENV_VAR, "native")
+        with pytest.warns(RuntimeWarning, match="not an available"):
+            assert default_kernel_name() == "numpy"
+
+    def test_missing_source_means_numpy_only(self, unloaded, monkeypatch):
+        def no_source(source=None):
+            raise FileNotFoundError("_gf256.c")
+
+        monkeypatch.setattr(kernels, "library_path", no_source)
+        assert available_kernels() == ["numpy"]
+
+    def test_no_compiler_codec_results_are_identical(self, no_native):
+        source = source_block(seed=3)
+        esis = list(range(3, K)) + list(range(K, K + 5))
+        encoder = BlockEncoder(source, context=CodecContext("planned"))
+        decoder = BlockDecoder(K, SYMBOL_SIZE, context=CodecContext("planned"))
+        for esi in esis:
+            decoder.add_symbol(esi, encoder.symbol(esi))
+        assert decoder.decode().source_symbols == source
+
+    def test_failed_build_raises_then_falls_back(self, no_native, monkeypatch):
+        monkeypatch.setattr(kernels, "_can_build", lambda: True)
+        assert "native" in available_kernels()
+        native = get_kernel("native")
+
+        def broken_build(source=None):
+            raise RuntimeError("compiler exploded")
+
+        monkeypatch.setattr(kernels, "build_library", broken_build)
+        with pytest.raises(RuntimeError, match="compiler exploded"):
+            native.matmul(np.ones((2, 2), dtype=np.uint8), np.ones((2, 2), dtype=np.uint8))
+        assert available_kernels() == ["numpy"]
+        assert best_kernel_name() == "numpy"
+
+
+class TestLazyBuild:
+    def test_resolution_and_empty_operations_never_build(self, unloaded, monkeypatch):
+        calls = []
+        monkeypatch.setattr(kernels, "build_library", lambda source=None: calls.append(1))
+        monkeypatch.setattr(kernels, "_can_build", lambda: True)
+        kernels.available_kernels()
+        kernels.best_kernel_name()
+        native = kernels.NativeKernel()
+        assert native.matmul(np.zeros((0, 3), np.uint8), np.zeros((3, 5), np.uint8)).shape == (0, 5)
+        native.addmul_rows(np.zeros((3, 4), np.uint8), 0, np.array([], np.intp), np.array([], np.uint8))
+        assert calls == []
+
+    @needs_native
+    def test_payload_off_simulation_never_builds(self, unloaded, monkeypatch):
+        calls = []
+
+        def recording_build(source=None):
+            calls.append(source)
+            raise RuntimeError("the build must not run")
+
+        monkeypatch.setattr(kernels, "build_library", recording_build)
+        config = ExperimentConfig(
+            fattree_k=4, num_foreground_transfers=2, object_bytes=64 * KILOBYTE,
+            background_fraction=0.0, max_sim_time_s=30.0,
+            polyraptor=PolyraptorConfig(carry_payload=False, codec_kernel="native"),
+        )
+        transfers = (
+            TransferSpec(transfer_id=1, kind=TransferKind.UNICAST, client="h0",
+                         peers=("h8",), size_bytes=64_000, start_time=0.0),
+            TransferSpec(transfer_id=2, kind=TransferKind.FETCH, client="h2",
+                         peers=("h10", "h14"), size_bytes=64_000, start_time=0.0),
+        )
+        run = run_job(RunJob(key=1, protocol=Protocol.POLYRAPTOR, config=config,
+                             transfers=transfers))
+        assert run.completion_fraction == 1.0
+        assert run.codec_stats["kernel"] == "native"
+        assert calls == []
+        # Control: the first byte operation does reach the build.
+        with pytest.raises(RuntimeError, match="must not run"):
+            get_kernel("native").matmul(np.ones((1, 1), np.uint8), np.ones((1, 1), np.uint8))
+        assert len(calls) == 1
+
+    @needs_native
+    def test_build_is_keyed_by_source_hash(self, tmp_path):
+        source = tmp_path / "_gf256.c"
+        shutil.copy(kernels._SOURCE, source)
+        first = kernels.library_path(source)
+        assert first.parent == tmp_path
+        assert first.name.startswith("_gf256-") and first.suffix == ".so"
+        edited = tmp_path / "edited" / "_gf256.c"
+        edited.parent.mkdir()
+        edited.write_bytes(source.read_bytes() + b"\n/* edited */\n")
+        assert kernels.library_path(edited).name != first.name
+
+    @needs_native
+    def test_concurrent_first_users_compile_once(self, tmp_path):
+        """Processes racing for a cold build: one compile, one complete file."""
+        source = tmp_path / "lib" / "_gf256.c"
+        source.parent.mkdir()
+        shutil.copy(kernels._SOURCE, source)
+        bindir = tmp_path / "bin"
+        bindir.mkdir()
+        log = tmp_path / "compiles.log"
+        wrapper = bindir / "cc"
+        wrapper.write_text(f'#!/bin/sh\necho x >> "{log}"\nexec "{shutil.which("cc")}" "$@"\n')
+        wrapper.chmod(0o755)
+        env = dict(os.environ, PATH=f"{bindir}{os.pathsep}{os.environ['PATH']}",
+                   PYTHONPATH=os.pathsep.join(p for p in sys.path if p))
+        script = (
+            "import ctypes, sys; from pathlib import Path; "
+            "from repro.rq.kernels import build_library; "
+            "path = build_library(Path(sys.argv[1])); ctypes.CDLL(str(path)); print(path)"
+        )
+        procs = [
+            subprocess.Popen([sys.executable, "-c", script, str(source)], env=env,
+                             stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+            for _ in range(3)
+        ]
+        outputs = [proc.communicate(timeout=120) for proc in procs]
+        assert all(proc.returncode == 0 for proc in procs), outputs
+        assert len({out.strip() for out, _ in outputs}) == 1
+        assert log.read_text().count("x") == 1
+        assert sorted(p.name for p in source.parent.iterdir()) == sorted(
+            ["_gf256.c", kernels.library_path(source).name]
+        )
+
+    @needs_native
+    def test_threads_share_one_build(self, tmp_path, monkeypatch):
+        source = tmp_path / "_gf256.c"
+        shutil.copy(kernels._SOURCE, source)
+        real_run = subprocess.run
+        compiles = []
+
+        def counting_run(*args, **kwargs):
+            compiles.append(args)
+            return real_run(*args, **kwargs)
+
+        monkeypatch.setattr(kernels.subprocess, "run", counting_run)
+        paths = []
+        threads = [
+            threading.Thread(target=lambda: paths.append(kernels.build_library(source)))
+            for _ in range(4)
+        ]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+        assert not any(thread.is_alive() for thread in threads)
+        assert len(paths) == len(threads)
+        assert len(compiles) == 1
+        assert len(set(paths)) == 1 and paths[0].exists()
+
+
+# Equivalence vs the numpy ground truth ------------------------------------------
+
+@st.composite
+def matrices(draw, rows, cols):
+    """A uint8 (rows x cols) matrix rich in 0 and 1, sometimes a strided view."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    matrix = rng.integers(0, 256, (rows, cols), dtype=np.uint8)
+    special = rng.random((rows, cols))
+    matrix[special < 0.2] = 0
+    matrix[(special >= 0.2) & (special < 0.3)] = 1
+    if rows and draw(st.booleans()):
+        matrix[draw(st.integers(0, rows - 1))] = 0  # a zero row
+    layout = draw(st.sampled_from(["contiguous", "column-offset", "row-step", "transposed"]))
+    if layout == "column-offset":
+        padded = np.zeros((rows, cols + 3), dtype=np.uint8)
+        padded[:, 3:] = matrix
+        return padded[:, 3:]
+    if layout == "row-step":
+        spread = np.zeros((2 * rows, cols), dtype=np.uint8)
+        spread[::2] = matrix
+        return spread[::2]
+    if layout == "transposed":
+        return np.ascontiguousarray(matrix.T).T
+    return matrix
+
+
+#: Symbol widths around the 16- and 32-byte vector lanes.
+widths = st.sampled_from([0, 1, 15, 16, 17, 31, 32, 33, 47, 63, 64, 65, 100, 1408])
+
+
+@needs_native
+class TestNativeEquivalence:
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_matmul_matches_numpy(self, data):
+        m, n, t = data.draw(st.integers(0, 6)), data.draw(st.integers(0, 6)), data.draw(widths)
+        a, b = data.draw(matrices(m, n)), data.draw(matrices(n, t))
+        assert np.array_equal(get_kernel("native").matmul(a, b), gf_matmul(a, b))
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_matvec_matches_numpy(self, data):
+        m, n = data.draw(st.integers(0, 6)), data.draw(st.integers(0, 40))
+        matrix, vector = data.draw(matrices(m, n)), data.draw(matrices(1, n))[0]
+        assert np.array_equal(get_kernel("native").matvec(matrix, vector),
+                              gf_matvec(matrix, vector))
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_addmul_rows_matches_numpy(self, data):
+        rows, width = data.draw(st.integers(1, 8)), data.draw(widths)
+        offset = data.draw(st.integers(0, min(width, 5)))
+        work = np.array(data.draw(matrices(rows, width)))
+        source = data.draw(st.integers(0, rows - 1))
+        others = [row for row in range(rows) if row != source]
+        targets = np.array(
+            data.draw(st.lists(st.sampled_from(others), unique=True)) if others else [],
+            dtype=np.intp,
+        )
+        factors = data.draw(matrices(1, targets.size))[0]
+        expected, actual = work.copy(), work.copy()
+        # The solver passes a column slice (the columns right of the pivot).
+        gf_addmul_rows(expected[:, offset:], source, targets, factors)
+        get_kernel("native").addmul_rows(actual[:, offset:], source, targets, factors)
+        assert np.array_equal(actual, expected)
+
+    def test_every_factor_and_byte_value(self):
+        """All 256 x 256 products, plus a tail that is not a multiple of 32."""
+        values = np.concatenate([np.arange(256), np.arange(7)]).astype(np.uint8)
+        work = np.zeros((257, values.size), dtype=np.uint8)
+        work[256] = values
+        work[:256] = np.random.default_rng(11).integers(0, 256, (256, values.size))
+        targets = np.arange(256, dtype=np.intp)
+        factors = np.arange(256, dtype=np.uint8)
+        expected, actual = work.copy(), work.copy()
+        gf_addmul_rows(expected, 256, targets, factors)
+        get_kernel("native").addmul_rows(actual, 256, targets, factors)
+        assert np.array_equal(actual, expected)
+        assert np.array_equal(actual[:256] ^ work[:256], MUL_TABLE[:, values])
+
+    def test_scalar_path_matches_vector_path(self):
+        """The table loop other CPUs run gives the same bytes as AVX2."""
+        library = kernels._load_library()
+        rng = np.random.default_rng(12)
+        a = rng.integers(0, 256, (9, 40), dtype=np.uint8)
+        b = rng.integers(0, 256, (40, 1419), dtype=np.uint8)
+        native = get_kernel("native")
+        try:
+            library.gf256_init(MUL_TABLE.ctypes.data, 0)
+            scalar = native.matmul(a, b)
+        finally:
+            library.gf256_init(MUL_TABLE.ctypes.data, 1)
+        assert np.array_equal(scalar, native.matmul(a, b))
+        assert np.array_equal(scalar, gf_matmul(a, b))
+
+    def test_addmul_rows_validates_indices(self):
+        work = np.zeros((3, 8), dtype=np.uint8)
+        native = get_kernel("native")
+        with pytest.raises(IndexError):
+            native.addmul_rows(work, 0, np.array([3]), np.array([1], np.uint8))
+        with pytest.raises(IndexError):
+            native.addmul_rows(work, 5, np.array([1]), np.array([1], np.uint8))
+        with pytest.raises(IndexError):
+            native.addmul_rows(work, 1, np.array([0, 1]), np.array([1, 1], np.uint8))
+        with pytest.raises(ValueError):
+            native.addmul_rows(work.T, 0, np.array([1]), np.array([1], np.uint8))
+
+    def test_rank_matches_numpy(self):
+        rng = np.random.default_rng(13)
+        native = get_kernel("native")
+        for rows, cols, rank in [(12, 12, 12), (20, 14, 9), (9, 30, 6)]:
+            matrix = gf_matmul(rng.integers(0, 256, (rows, rank), dtype=np.uint8),
+                               rng.integers(0, 256, (rank, cols), dtype=np.uint8))
+            assert gaussian_rank(matrix, kernel=native) == gaussian_rank(matrix)
+
+    def test_plans_are_byte_identical_across_kernels(self):
+        params = for_k(40)
+        esis = [esi for esi in range(40) if esi % 7] + list(range(40, 48))
+        for matrix in (constraint_matrix(params), received_matrix(params, esis)):
+            unknowns = params.num_intermediate_symbols
+            numpy_plan = build_plan(matrix, unknowns, kernel=get_kernel("numpy"))
+            native_plan = build_plan(matrix, unknowns, kernel=get_kernel("native"))
+            assert numpy_plan.operator.tobytes() == native_plan.operator.tobytes()
+            assert len(numpy_plan.steps) == len(native_plan.steps)
+            for ours, theirs in zip(native_plan.steps, numpy_plan.steps):
+                assert ours.kind == theirs.kind and ours.source_row == theirs.source_row
+                assert ours.rows.tobytes() == theirs.rows.tobytes()
+                assert ours.factors.tobytes() == theirs.factors.tobytes()
+
+    def test_plan_stores_are_byte_identical_across_kernels(self):
+        stores = {}
+        for name in ("numpy", "native"):
+            context = CodecContext("planned", kernel=name)
+            encoder = BlockEncoder(source_block(seed=9), context=context)
+            decoder = BlockDecoder(K, SYMBOL_SIZE, context=context)
+            for esi in list(range(2, K)) + [K, K + 1, K + 2]:
+                decoder.add_symbol(esi, encoder.symbol(esi))
+            assert decoder.decode().success
+            stores[name] = context.snapshot_plans().to_bytes()
+        assert stores["native"] == stores["numpy"]
 
 
 class TestKernelEquivalence:
@@ -112,13 +461,13 @@ class TestKernelEquivalence:
         cases.append((np.zeros((4, 5), dtype=np.uint8), b[:5]))
         return cases
 
-    @pytest.mark.parametrize("name", sorted(set(available_kernels()) - {"numpy"}))
+    @pytest.mark.parametrize("name", ACCELERATED)
     def test_matmul_matches_numpy(self, name):
         kernel = get_kernel(name)
         for a, b in self._cases():
             assert np.array_equal(kernel.matmul(a, b), gf_matmul(a, b)), name
 
-    @pytest.mark.parametrize("name", sorted(set(available_kernels()) - {"numpy"}))
+    @pytest.mark.parametrize("name", ACCELERATED)
     def test_matmul_accepts_noncontiguous_views(self, name):
         # Plan replay passes operator[:, first_row:] -- a non-contiguous view.
         rng = np.random.default_rng(8)
@@ -127,7 +476,7 @@ class TestKernelEquivalence:
         kernel = get_kernel(name)
         assert np.array_equal(kernel.matmul(a[:, 12:], b), gf_matmul(a[:, 12:], b))
 
-    @pytest.mark.parametrize("name", sorted(set(available_kernels()) - {"numpy"}))
+    @pytest.mark.parametrize("name", ACCELERATED)
     def test_matvec_matches_numpy(self, name):
         kernel = get_kernel(name)
         rng = np.random.default_rng(9)
@@ -138,20 +487,21 @@ class TestKernelEquivalence:
             vector[-1] = 0
             assert np.array_equal(kernel.matvec(matrix, vector), gf_matvec(matrix, vector))
 
-    @pytest.mark.parametrize("name", sorted(set(available_kernels()) - {"numpy"}))
-    def test_scale_rows_matches_numpy(self, name):
+    @pytest.mark.parametrize("name", ACCELERATED)
+    def test_addmul_rows_matches_numpy(self, name):
         kernel = get_kernel(name)
         rng = np.random.default_rng(10)
-        rows = rng.integers(0, 256, (9, 13), dtype=np.uint8)
-        rows[3] = 0
-        factors = rng.integers(0, 256, 9, dtype=np.uint8)
+        work = rng.integers(0, 256, (9, 13), dtype=np.uint8)
+        work[4] = 0
+        targets = np.array([0, 2, 3, 5, 8], dtype=np.intp)
+        factors = rng.integers(0, 256, 5, dtype=np.uint8)
         factors[0] = 0
-        factors[5] = 0
-        assert np.array_equal(kernel.scale_rows(rows, factors), gf_scale_rows(rows, factors))
-        zero_factors = np.zeros(9, dtype=np.uint8)
-        assert np.array_equal(
-            kernel.scale_rows(rows, zero_factors), gf_scale_rows(rows, zero_factors)
-        )
+        factors[3] = 1
+        for source in (4, 6):  # an all-zero and a random pivot row
+            expected, actual = work.copy(), work.copy()
+            gf_addmul_rows(expected, source, targets, factors)
+            kernel.addmul_rows(actual, source, targets, factors)
+            assert np.array_equal(actual, expected)
 
     @pytest.mark.parametrize("name", sorted(available_kernels()))
     def test_shape_validation_preserved(self, name):
