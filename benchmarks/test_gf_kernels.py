@@ -4,7 +4,7 @@ Measures warm repeated-block encode/decode per registered-and-available
 kernel -- the steady state of any real transfer mix, where the elimination
 plan is cached and the batched kernel matmul is the whole cost -- and a
 decode plan-cache hit-rate comparison between canonical missing-source keys
-and the legacy exact-ESI keys under >= 10% loss.  Results land in
+and keys on the exact received-ESI set under >= 10% loss.  Results land in
 ``benchmarks/results/BENCH_gf_kernels.json`` so future PRs can track kernel
 throughput over time.
 
@@ -28,6 +28,7 @@ from repro.rq.decoder import BlockDecoder
 from repro.rq.encoder import BlockEncoder
 from repro.rq.kernels import available_kernels, best_kernel_name
 from repro.rq.params import for_k
+from tests.rq.reference import ReferenceContext
 
 SYMBOL_SIZE = 1408
 RESULTS_DIR = Path(__file__).parent / "results"
@@ -75,7 +76,7 @@ def _time_per_block(action, blocks, repeats: int = 3) -> float:
 
 def _measure_kernel(name: str, k: int, blocks, esis) -> tuple[float, float]:
     """Warm-block (encode_s, decode_s) for one kernel at one K'."""
-    context = CodecContext("planned", kernel=name)
+    context = CodecContext(kernel=name)
     warm_encoder = BlockEncoder(blocks[0], context=context)
     symbols = [(esi, warm_encoder.symbol(esi)) for esi in esis]
 
@@ -94,9 +95,14 @@ def _measure_kernel(name: str, k: int, blocks, esis) -> tuple[float, float]:
 
 
 def _canonical_hit_rates(k: int = 16) -> dict:
-    """Decode hit rates, canonical vs exact keys, over a >=10%-loss stream."""
+    """Decode hit rates, canonical vs exact keys, over a >=10%-loss stream.
+
+    The canonical side is read from a live context's counters.  Keying by
+    the exact received-ESI set would hit only on a repeated set, so that
+    side is computed from the stream itself: each distinct set is one miss.
+    """
     source = _source_blocks(k, count=1)[0]
-    encoder = BlockEncoder(source, context=CodecContext("reference"))
+    encoder = BlockEncoder(source, context=ReferenceContext())
     patterns = [(0, 1), (2, 9), (5, 11, 14), (3, 8)]
     sessions = []
     for surplus in (2, 3, 4):
@@ -104,20 +110,25 @@ def _canonical_hit_rates(k: int = 16) -> dict:
             kept = [esi for esi in range(k) if esi not in missing]
             repairs = list(range(k, k + len(missing) + surplus))
             sessions.append([(esi, encoder.symbol(esi)) for esi in kept + repairs])
-    rates = {}
-    for label, canonical in (("canonical", True), ("exact_esi", False)):
-        context = CodecContext("planned", canonical_decode_plans=canonical)
-        for symbols in sessions:
-            decoder = BlockDecoder(k, SYMBOL_SIZE, context=context)
-            for esi, data in symbols:
-                decoder.add_symbol(esi, data)
-            assert decoder.decode().success
-        rates[label] = {
+    context = CodecContext()
+    for symbols in sessions:
+        decoder = BlockDecoder(k, SYMBOL_SIZE, context=context)
+        for esi, data in symbols:
+            decoder.add_symbol(esi, data)
+        assert decoder.decode().success
+    distinct_sets = len({tuple(esi for esi, _ in symbols) for symbols in sessions})
+    return {
+        "canonical": {
             "hits": context.decode_stats.hits,
             "misses": context.decode_stats.misses,
             "hit_rate": context.decode_stats.hit_rate,
-        }
-    return rates
+        },
+        "exact_esi": {
+            "hits": len(sessions) - distinct_sets,
+            "misses": distinct_sets,
+            "hit_rate": (len(sessions) - distinct_sets) / len(sessions),
+        },
+    }
 
 
 def test_kernel_throughput_and_canonical_hit_rate(benchmark):
@@ -180,7 +191,7 @@ def test_kernel_throughput_and_canonical_hit_rate(benchmark):
 
     # Register the headline path (warm encode on the best kernel) with
     # pytest-benchmark so --benchmark-only runs select this test.
-    best_context = CodecContext("planned", kernel=best)
+    best_context = CodecContext(kernel=best)
     blocks = _source_blocks(128, count=1)
     BlockEncoder(blocks[0], context=best_context)  # warm
     benchmark.pedantic(
@@ -206,7 +217,7 @@ def test_each_kernel_decodes_byte_identically(name):
     esis = _lossy_esis(k)
     decoded = {}
     for kernel in ("numpy", name):
-        context = CodecContext("planned", kernel=kernel)
+        context = CodecContext(kernel=kernel)
         encoder = BlockEncoder(blocks[0], context=context)
         decoder = BlockDecoder(k, SYMBOL_SIZE, context=context)
         for esi in esis:

@@ -120,8 +120,9 @@ def test_sharded_sweep_is_identical_and_faster(benchmark):
     )
 
     # Pre-warmed encode plans mean encode never misses; any misses left are
-    # decode-side (plans keyed by the exact lost-packet pattern, which cannot
-    # be pre-computed), so they are bounded by the number of decoded blocks.
+    # decode-side (plans keyed by the canonical loss pattern, which this
+    # fault-free sweep does not pre-warm), so they are bounded by the number
+    # of decoded blocks.
     stats = sharded.codec_stats["1 Replica RQ"]
     assert stats["plan_cache"]["misses"] <= stats["blocks_decoded"]
     assert stats["plan_cache"]["hits"] >= stats["blocks_encoded"]

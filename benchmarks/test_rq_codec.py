@@ -19,6 +19,7 @@ from repro.rq.backend import CodecContext
 from repro.rq.decoder import BlockDecoder
 from repro.rq.encoder import BlockEncoder
 from repro.rq.params import for_k
+from tests.rq.reference import ReferenceContext
 
 SYMBOL_SIZE = 1408
 
@@ -111,9 +112,11 @@ def _update_trajectory(point: dict) -> None:
 def test_repeated_block_backend_throughput(benchmark, k):
     """The headline number of this codec architecture: warm-block speedup.
 
-    The first block of a K' pays for Gaussian elimination under either
-    backend; every later block with the same parameters replays the cached
-    elimination plan under the ``planned`` backend.  This benchmark measures
+    The first block of a K' pays for Gaussian elimination on either path;
+    every later block with the same parameters replays the cached
+    elimination plan on the planned path of :class:`CodecContext`, while the
+    direct-solve :class:`ReferenceContext` eliminates again for every
+    block.  This benchmark measures
     second-and-later blocks only (the steady state of any real transfer mix)
     and writes a ``BENCH_rq_codec.json`` trajectory so future PRs can track
     codec throughput over time.
@@ -124,13 +127,15 @@ def test_repeated_block_backend_throughput(benchmark, k):
     repair = list(range(k, k + (k - len(kept)) + 2))
     esis = kept + repair
 
-    contexts = {name: CodecContext(name) for name in ("reference", "planned")}
+    contexts = {"reference": ReferenceContext(), "planned": CodecContext()}
     encode_times: dict[str, float] = {}
     decode_times: dict[str, float] = {}
+    emitted: dict[str, list] = {}
     for name, context in contexts.items():
-        # Warm the parameter cache and (for `planned`) the plan cache.
+        # Warm the parameter cache and (for "planned") the plan cache.
         warm_encoder = BlockEncoder(blocks[0], context=context)
         symbols = [(esi, warm_encoder.symbol(esi)) for esi in esis]
+        emitted[name] = symbols
 
         def decode(_block, _symbols=symbols, _context=context):
             decoder = BlockDecoder(k, SYMBOL_SIZE, context=_context)
@@ -144,11 +149,14 @@ def test_repeated_block_backend_throughput(benchmark, k):
         )
         decode_times[name] = _time_per_block(decode, blocks)
 
-    # Register the headline path (warm-block encode on the planned backend)
+    # Register the headline path (warm-block encode on the planned path)
     # with pytest-benchmark so `--benchmark-only` runs select this test.
     benchmark.pedantic(
         lambda: BlockEncoder(blocks[0], context=contexts["planned"]), rounds=3, iterations=1
     )
+
+    # The oracle half: the planned path emits the reference's bytes.
+    assert emitted["planned"] == emitted["reference"]
 
     encode_speedup = encode_times["reference"] / encode_times["planned"]
     decode_speedup = decode_times["reference"] / decode_times["planned"]

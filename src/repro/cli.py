@@ -18,10 +18,7 @@ followed by the merged RQ plan-cache counters for the coded series.
 ``--jobs N`` shards a sweep's independent runs over N worker processes
 (:mod:`repro.experiments.parallel`); ``--jobs auto`` uses one worker per CPU
 core.  The output is byte-identical for every jobs value, only faster on
-multi-core machines.  ``--progress`` logs one stderr line per finished run,
-and ``--plan-cache`` persists factorised elimination plans across
-invocations (default file under ``~/.cache/repro/``, keyed by package
-version).
+multi-core machines.  ``--progress`` logs one stderr line per finished run.
 """
 
 from __future__ import annotations
@@ -46,10 +43,8 @@ from repro.experiments.hotspot import format_hotspot, run_hotspot_experiment
 from repro.experiments.parallel import (
     clear_telemetry,
     collected_telemetry,
-    default_plan_cache_path,
     log_progress,
     resolve_jobs,
-    set_plan_cache_path,
     set_progress_logger,
 )
 from repro.experiments.correlated import run_correlated
@@ -214,11 +209,6 @@ def _add_common_arguments(parser: argparse.ArgumentParser) -> None:
                              "for any value)")
     parser.add_argument("--progress", action="store_true",
                         help="log one stderr line per finished run")
-    parser.add_argument("--plan-cache", nargs="?", const="auto", default=None,
-                        metavar="PATH",
-                        help="persist/reload factorised elimination plans across "
-                             "invocations; without PATH, a per-package-version file "
-                             "under ~/.cache/repro/ is used")
     parser.add_argument("--kernel", default="auto", type=_kernel_type,
                         metavar="{auto,%s}" % ",".join(registered_kernels()),
                         help="GF(256) kernel for codec linear algebra; 'auto' "
@@ -648,13 +638,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _apply_execution_options(args: argparse.Namespace) -> None:
-    """Install process-wide executor options (progress, plan cache)."""
+    """Install process-wide executor options (progress logging)."""
     if getattr(args, "progress", False):
         set_progress_logger(log_progress)
-    plan_cache = getattr(args, "plan_cache", None)
-    if plan_cache is not None:
-        path = default_plan_cache_path() if plan_cache == "auto" else plan_cache
-        set_plan_cache_path(path)
 
 
 def _export_telemetry(args: argparse.Namespace) -> None:

@@ -58,7 +58,7 @@ class PolyraptorAgent:
         # One CodecContext is normally shared by every agent of a simulation
         # (the runner passes it in) so all sessions amortise one plan cache;
         # a per-agent context is created only for standalone agents.
-        self.codec = codec_context or CodecContext(self.config.codec_backend)
+        self.codec = codec_context or CodecContext(kernel=self.config.codec_kernel)
         self.pacer = PullPacer(sim, host, self.config)
         self._senders: dict[int, SenderSession] = {}
         self._receivers: dict[int, ReceiverSession] = {}

@@ -67,10 +67,6 @@ class PolyraptorConfig:
             can never diverge by more than roughly the initial window (the
             sender is pull-clocked), this should be set below
             ``initial_window_symbols``.
-        codec_backend: which registered RQ codec backend sessions use when no
-            shared :class:`~repro.rq.backend.CodecContext` is supplied:
-            ``"planned"`` (elimination-plan cache + batched replay, the
-            default) or ``"reference"`` (full per-block elimination).
         codec_kernel: which :mod:`repro.rq.kernels` GF(256) kernel executes
             the codec's linear algebra: ``"auto"`` (the default; honours the
             ``REPRO_GF_KERNEL`` environment variable, then picks the best
@@ -120,18 +116,11 @@ class PolyraptorConfig:
     #: for trailing losses.  The simulator's trimming fabric never needs
     #: this, so it defaults off and sim runs are byte-identical.
     pull_on_gap: bool = False
-    codec_backend: str = "planned"
     codec_kernel: str = "auto"
 
     def __post_init__(self) -> None:
-        from repro.rq.backend import available_backends
         from repro.rq.kernels import registered_kernels
 
-        if self.codec_backend not in available_backends():
-            raise ValueError(
-                f"unknown codec_backend {self.codec_backend!r}; "
-                f"available: {', '.join(available_backends())}"
-            )
         if self.codec_kernel != "auto" and self.codec_kernel not in registered_kernels():
             raise ValueError(
                 f"unknown codec_kernel {self.codec_kernel!r}; "

@@ -61,12 +61,9 @@ import queue
 import sys
 import time
 import traceback
-import warnings
 from dataclasses import asdict, dataclass
-from pathlib import Path
 from typing import Callable, Hashable, Iterable, Optional, Sequence, Union
 
-from repro._version import __version__
 from repro.core.config import PolyraptorConfig
 from repro.experiments.config import ExperimentConfig, Protocol
 from repro.experiments.runner import RunResult, run_transfers
@@ -81,8 +78,7 @@ from repro.rq.backend import (
     prewarm_encode_plans,
 )
 from repro.rq.block import partition_object
-from repro.rq.params import for_k
-from repro.rq.plan import PlanStore, PlanStoreSchemaError
+from repro.rq.plan import PlanStore
 
 #: Start method used for worker pools; ``spawn`` is the portable choice and
 #: proves that every job artefact survives pickling.
@@ -257,100 +253,16 @@ def plan_store_for_jobs(
     :func:`repro.rq.backend.prewarm_canonical_decode_plans`).  The decision
     depends only on the job list, never on the worker count, so plan-cache
     counters stay identical for every ``--jobs`` value.
-
-    When a persistent plan-cache path is installed (see
-    :func:`set_plan_cache_path`), previously saved plans are loaded first so
-    only the sweep's *missing* plans are factorised, and the merged store is
-    written back for the next process.  Only the plans this sweep can
-    actually look up (its block sizes' encode and canonical decode keys) are
-    returned -- and therefore shipped to workers -- the cache file may have
-    accumulated plans for every block size ever run.
     """
     sizes = sweep_block_sizes(jobs)
     if not sizes:
         return None
     if prewarm_decode in (None, "auto"):
         prewarm_decode = _sweep_is_lossy(jobs)
-    store: Optional[PlanStore] = None
-    path = _plan_cache_path
-    if path is not None and path.exists():
-        try:
-            store = PlanStore.load(path)
-        except PlanStoreSchemaError as error:
-            # A store written under another plan-key schema would either
-            # never be looked up (wasted shipping) or, worse, collide with
-            # current keys.  Reject it loudly and rebuild from scratch.
-            warnings.warn(
-                f"discarding plan cache {path}: {error}", RuntimeWarning, stacklevel=2
-            )
-            store = None
-        except Exception:
-            store = None  # a corrupt cache file is rebuilt, never fatal
-    known = len(store) if store is not None else 0
-    store = prewarm_encode_plans(sizes, store=store)
+    store = prewarm_encode_plans(sizes)
     if prewarm_decode:
         store = prewarm_canonical_decode_plans(sizes, store=store)
-    if path is not None and len(store) != known:
-        path.parent.mkdir(parents=True, exist_ok=True)
-        # Merge the latest on-disk contents before writing so a concurrent
-        # invocation's contributions survive, then replace atomically so no
-        # reader ever observes a torn file.  (The merge narrows, but does not
-        # close, the lost-update window -- acceptable for a pure cache whose
-        # worst case is refactorising a plan.)
-        try:
-            store.merge(PlanStore.load(path))
-        except Exception:
-            pass
-        temp = path.with_name(f"{path.name}.tmp{os.getpid()}")
-        store.save(temp)
-        os.replace(temp, path)
-    needed_encode = {("encode", for_k(k)) for k in sizes}
-    # Decode keys pass the filter only when THIS sweep pre-warms decode
-    # plans; both prewarm passes are pure functions of the job list, so the
-    # returned store -- and therefore every worker's preloaded cache and its
-    # hit/miss counters -- is identical whether or not a persistent cache
-    # file existed.
-    needed_params = {for_k(k) for k in sizes} if prewarm_decode else set()
-    return PlanStore(
-        {
-            key: plan
-            for key, plan in store.plans.items()
-            if key in needed_encode
-            or (key[0] == "decode" and key[1] in needed_params)
-        }
-    )
-
-
-# Persistent cross-run plan cache ----------------------------------------------------
-#
-# The CLI's --plan-cache flag installs a process-wide cache file here: every
-# sweep of the invocation then reloads previously factorised encode plans
-# instead of rebuilding them, and contributes any new ones back.  The default
-# file name is keyed by the package version, which invalidates the cache
-# across releases; a codec change within an unreleased tree must bump the
-# version (or the user delete the file) to avoid replaying plans built by
-# the old solver -- plans are data, so a *format* change simply fails to
-# unpickle and is rebuilt.
-
-_plan_cache_path: Optional[Path] = None
-
-
-def default_plan_cache_path() -> Path:
-    """The conventional persistent plan-cache location, keyed by package version."""
-    return Path.home() / ".cache" / "repro" / f"plans-v{__version__}.pkl"
-
-
-def set_plan_cache_path(path: Optional[Union[str, Path]]) -> Optional[Path]:
-    """Install (or, with ``None``, remove) the persistent plan-cache file.
-
-    Returns the resolved path.  Affects every subsequent
-    :func:`plan_store_for_jobs` / :func:`execute_jobs` call in this process;
-    the cache never changes results, only how much elimination work a fresh
-    process repeats.
-    """
-    global _plan_cache_path
-    _plan_cache_path = Path(path).expanduser() if path is not None else None
-    return _plan_cache_path
+    return store
 
 
 def run_job(job: RunJob, plan_store: Optional[PlanStore] = None) -> RunResult:
@@ -369,9 +281,7 @@ def run_job(job: RunJob, plan_store: Optional[PlanStore] = None) -> RunResult:
         # The kernel choice rides the job's (picklable) config, so a worker
         # resolves exactly what the parent chose -- "auto" resolves the same
         # way on both sides of the process boundary.
-        codec_context = CodecContext(
-            pcfg.codec_backend, preload=plan_store, kernel=pcfg.codec_kernel
-        )
+        codec_context = CodecContext(preload=plan_store, kernel=pcfg.codec_kernel)
     return run_transfers(
         job.protocol,
         job.config,
@@ -510,7 +420,7 @@ def _worker_main(worker_id: int, tasks, results) -> None:
     from repro.rq.kernels import get_kernel
 
     get_kernel(None)  # resolve only: a native build waits for the first byte operation
-    CodecContext()  # warm backend construction once
+    CodecContext()  # warm codec context construction once
     results.put(("ready", worker_id, time.perf_counter() - init_start))
     plan_store: Optional[PlanStore] = None
     while True:

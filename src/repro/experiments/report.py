@@ -108,8 +108,8 @@ def merge_codec_stats(stats_list: Sequence[Optional[dict]]) -> Optional[dict]:
     Block and plan-cache counters (overall and decode-side) are summed and
     hit rates recomputed from the totals, so a merged dict has the same
     shape as a single run's ``RunResult.codec_stats``; a ``shards`` field
-    records how many runs contributed.  ``backend`` and ``kernel`` join the
-    distinct names seen with ``+`` (shards normally agree).
+    records how many runs contributed.  ``kernel`` joins the distinct names
+    seen with ``+`` (shards normally agree).
     ``cached_plans`` is the *maximum* across shards (each shard holds its
     own cache, typically seeded with the same pre-warmed plans, so summing
     would double-count).  Runs without codec work (``None``, e.g. TCP
@@ -118,14 +118,9 @@ def merge_codec_stats(stats_list: Sequence[Optional[dict]]) -> Optional[dict]:
     present = [stats for stats in stats_list if stats]
     if not present:
         return None
-    backends = sorted({str(stats.get("backend", "?")) for stats in present})
     kernels = sorted({str(stats.get("kernel", "?")) for stats in present})
     merged = {
-        "backend": "+".join(backends),
         "kernel": "+".join(kernels),
-        "canonical_decode_plans": all(
-            stats.get("canonical_decode_plans", True) for stats in present
-        ),
         "blocks_encoded": sum(stats.get("blocks_encoded", 0) for stats in present),
         "blocks_decoded": sum(stats.get("blocks_decoded", 0) for stats in present),
         "plan_cache": _merge_cache_counters(
@@ -158,9 +153,9 @@ def merge_codec_stats(stats_list: Sequence[Optional[dict]]) -> Optional[dict]:
 
 def format_codec_stats(
     stats_by_label: Mapping[str, Optional[dict]],
-    title: str = "RQ codec backend / plan cache",
+    title: str = "RQ codec plan cache",
 ) -> str:
-    """Render per-run codec statistics (backend, kernel, plan-cache counters).
+    """Render per-run codec statistics (kernel, plan-cache counters).
 
     The ``dec hits`` / ``dec rate`` columns report the decode-side subset of
     the plan cache -- the counters canonical decode-plan keys are designed
@@ -171,14 +166,13 @@ def format_codec_stats(
     for label in sorted(stats_by_label):
         stats = stats_by_label[label]
         if not stats:
-            rows.append([label] + ["-"] * 9)
+            rows.append([label] + ["-"] * 8)
             continue
         cache = stats.get("plan_cache", {})
         decode_cache = stats.get("decode_plan_cache", {})
         rows.append(
             [
                 label,
-                str(stats.get("backend", "?")),
                 str(stats.get("kernel", "?")),
                 str(stats.get("blocks_encoded", 0)),
                 str(stats.get("blocks_decoded", 0)),
@@ -192,7 +186,6 @@ def format_codec_stats(
     table = _format_table(
         [
             "series",
-            "backend",
             "kernel",
             "blocks enc",
             "blocks dec",
@@ -258,13 +251,17 @@ def format_exec_profile(profile: Optional[dict], title: str = "Executor profile"
     return f"{title}\n{table}"
 
 
-def merge_fault_stats(stats_list: Sequence[Optional[dict]]) -> Optional[dict]:
-    """Aggregate per-run fault statistics across the shards of a sweep.
+def merge_counters(stats_list: Sequence[Optional[dict]]) -> Optional[dict]:
+    """Aggregate per-run counter dicts across the shards of a sweep.
 
-    Every counter is additive (event counts, fault-caused packet drops,
-    rerouted table entries), so shards simply sum; a ``shards`` field records
-    how many runs contributed.  Runs without fault injection (``None``) are
-    skipped; returns ``None`` when no run carried stats.
+    Used for the fault-layer (``fault_stats``: event counts, fault-caused
+    packet drops, rerouted table entries) and congestion-reaction
+    (``transport_stats``: ECN marks, TFRC rate updates, gray detections)
+    channels.  Every counter is additive, so shards simply sum --
+    generically over whatever keys are present, so newly added counters
+    survive merging; a ``shards`` field records how many runs contributed.
+    Runs without stats (``None``) are skipped; returns ``None`` when no run
+    carried any.
     """
     present = [stats for stats in stats_list if stats]
     if not present:
@@ -351,25 +348,6 @@ def format_fault_stats(
         headers.append("causes")
     table = _format_table(headers, rows)
     return f"{title}\n{table}"
-
-
-def merge_transport_stats(stats_list: Sequence[Optional[dict]]) -> Optional[dict]:
-    """Aggregate per-run congestion-reaction statistics across sweep shards.
-
-    Every counter is additive (ECN marks, CE receipts, echoes, TFRC rate
-    updates, gray detections, sender reactions), so shards simply sum --
-    generically over whatever keys are present, so newly added counters
-    survive merging; a ``shards`` field records how many runs contributed.
-    Runs with every reactive feature off (``None``) are skipped; returns
-    ``None`` when no run carried stats.
-    """
-    present = [stats for stats in stats_list if stats]
-    if not present:
-        return None
-    keys = sorted({key for stats in present for key in stats})
-    merged = {key: sum(stats.get(key, 0) for stats in present) for key in keys}
-    merged["shards"] = len(present)
-    return merged
 
 
 def format_transport_stats(

@@ -55,7 +55,7 @@ class RunResult:
     num_hosts: int
     trace: Optional[TraceLog] = None
     metadata: dict = field(default_factory=dict)
-    #: Codec-layer statistics (backend name, plan-cache hits/misses) for
+    #: Codec-layer statistics (kernel name, plan-cache hits/misses) for
     #: Polyraptor runs; ``None`` for TCP runs, which do no coding.
     codec_stats: Optional[dict] = None
     #: Fault-layer statistics (per-event counters, fault-caused packet drops,
@@ -191,7 +191,7 @@ def build_environment(
         # agent draws elimination plans from the same cache, so the cost of
         # factorising a K' is paid once per run rather than once per block.
         if codec_context is None:
-            codec_context = CodecContext(pcfg.codec_backend, kernel=pcfg.codec_kernel)
+            codec_context = CodecContext(kernel=pcfg.codec_kernel)
         for host in network.hosts:
             polyraptor_agents[host.name] = PolyraptorAgent(
                 sim, host, pcfg, registry, trace, codec_context=codec_context

@@ -36,16 +36,10 @@ High-level usage::
 
 from repro.rq.api import decode_object, encode_object
 from repro.rq.backend import (
-    DEFAULT_BACKEND,
-    CodecBackend,
     CodecContext,
-    available_backends,
-    create_backend,
     default_context,
     prewarm_decode_plans,
     prewarm_encode_plans,
-    register_backend,
-    set_default_backend,
 )
 from repro.rq.block import EncodedSymbol, ObjectDecoder, ObjectEncoder, ObjectTransmissionInfo
 from repro.rq.decoder import BlockDecoder, DecodeFailure, DecodeResult
@@ -62,11 +56,9 @@ from repro.rq.kernels import (
 )
 from repro.rq.params import CodeParameters
 from repro.rq.plan import (
-    PLAN_STORE_SCHEMA,
     EliminationPlan,
     PlanCache,
     PlanStore,
-    PlanStoreSchemaError,
     build_plan,
     canonical_decode_candidates,
     canonical_decode_key,
@@ -85,19 +77,11 @@ __all__ = [
     "EncodedSymbol",
     "encode_object",
     "decode_object",
-    "CodecBackend",
     "CodecContext",
-    "DEFAULT_BACKEND",
-    "available_backends",
-    "create_backend",
     "default_context",
-    "register_backend",
-    "set_default_backend",
     "EliminationPlan",
     "PlanCache",
     "PlanStore",
-    "PlanStoreSchemaError",
-    "PLAN_STORE_SCHEMA",
     "build_plan",
     "canonical_decode_candidates",
     "canonical_decode_key",

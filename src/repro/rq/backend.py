@@ -1,29 +1,21 @@
-"""Pluggable codec backends and the shared :class:`CodecContext`.
+"""The shared :class:`CodecContext`: one plan cache, one kernel, one codec path.
 
-The encoder and decoder no longer run Gaussian elimination themselves; they
-delegate the two linear-algebra problems of the codec to a backend:
+The encoder and decoder do not run Gaussian elimination themselves; they
+hand the codec's two linear-algebra problems to a context:
 
-* ``compute_intermediate`` -- encode side: solve ``A . C = [0; source]``
-  for the (L x symbol_size) intermediate-symbol plane of one block;
-* ``solve_received``       -- decode side: solve the stacked
+* :meth:`CodecContext.encode_intermediate` -- solve ``A . C = [0; source]``
+  for the (L x symbol_size) intermediate-symbol plane of one block, by
+  replaying the cached elimination plan of its K';
+* :meth:`CodecContext.decode_intermediate` -- solve the stacked
   LDPC/HDPC/LT-row system for the intermediate symbols given whatever
-  encoding symbols arrived.
+  encoding symbols arrived, by replaying the plan cached under the block's
+  **canonical** key: the missing-source pattern plus the repair rows
+  consumed (see :func:`~repro.rq.plan.canonical_decode_candidates`).
 
-Two backends ship:
-
-* ``reference`` -- rebuilds the matrix and re-runs full elimination for
-  every block, byte-for-byte preserving the original behaviour (and cost);
-* ``planned``   -- the default: looks up an :class:`~repro.rq.plan.EliminationPlan`
-  in the context's shared plan cache (keyed by K' on the encode side, and
-  **canonically** by the missing-source pattern plus the repair rows
-  consumed on the decode side -- see
-  :func:`~repro.rq.plan.canonical_decode_candidates`) and replays it over
-  the block's symbol plane as one batched GF(256) matrix product.
-
-A :class:`CodecContext` bundles one backend with one
-:mod:`~repro.rq.kernels` GF(256) kernel, one plan cache and its hit/miss
-counters (overall plus decode-side, so canonical-key effectiveness is
-observable in experiment reports).  All sessions of a simulation share a
+Each replay is one batched GF(256) matrix product on the context's
+:mod:`~repro.rq.kernels` kernel.  A context also keeps the plan cache's
+hit/miss counters (overall plus decode-side, so canonical-key effectiveness
+is observable in experiment reports).  All sessions of a simulation share a
 single context, so the first block of the first transfer pays for
 elimination and every later block with the same parameters rides the cache;
 under loss, every block that lost the same source pattern rides the same
@@ -41,13 +33,11 @@ worker process starts with a warm cache.
 
 from __future__ import annotations
 
-from abc import ABC, abstractmethod
-from typing import ClassVar, Hashable, Iterable, Optional, Sequence, Union
+from typing import Hashable, Iterable, Optional, Sequence, Union
 
 import numpy as np
 
 from repro.rq.kernels import GFKernel, get_kernel
-from repro.rq.matrix import build_constraint_matrix
 from repro.rq.params import CodeParameters, for_k
 from repro.rq.plan import (
     EliminationPlan,
@@ -58,201 +48,36 @@ from repro.rq.plan import (
     constraint_matrix,
     received_matrix,
 )
-from repro.rq.solver import SingularMatrixError, solve
+from repro.rq.solver import SingularMatrixError
 from repro.sim.stats import CacheStats
 
-#: Name of the backend used when none is configured explicitly.
+#: The only name :func:`set_default_backend` accepts (a cold-reset hook).
 DEFAULT_BACKEND = "planned"
 
-_BACKENDS: dict[str, type["CodecBackend"]] = {}
+
+def _constraint_rows(params: CodeParameters) -> int:
+    """S + H: the leading rows of both codec systems, whose rhs is all-zero."""
+    return params.num_ldpc_symbols + params.num_hdpc_symbols
 
 
-def register_backend(cls: type["CodecBackend"]) -> type["CodecBackend"]:
-    """Class decorator: add a backend to the registry under ``cls.name``."""
-    if not getattr(cls, "name", None):
-        raise ValueError(f"backend {cls!r} must define a non-empty name")
-    _BACKENDS[cls.name] = cls
-    return cls
-
-
-def available_backends() -> list[str]:
-    """Names of every registered backend, sorted."""
-    return sorted(_BACKENDS)
-
-
-def create_backend(name: str) -> "CodecBackend":
-    """Instantiate a registered backend by name."""
-    try:
-        return _BACKENDS[name]()
-    except KeyError:
-        raise ValueError(
-            f"unknown codec backend {name!r}; available: {', '.join(available_backends())}"
-        ) from None
-
-
-class CodecBackend(ABC):
-    """Strategy interface for the codec's two solve problems."""
-
-    name: ClassVar[str] = ""
-
-    @abstractmethod
-    def compute_intermediate(
-        self, context: "CodecContext", params: CodeParameters, source: np.ndarray
-    ) -> np.ndarray:
-        """Return the (L x T) intermediate plane for a (K x T) source plane."""
-
-    @abstractmethod
-    def solve_received(
-        self,
-        context: "CodecContext",
-        params: CodeParameters,
-        esis: tuple[int, ...],
-        received: np.ndarray,
-    ) -> np.ndarray:
-        """Return the (L x T) intermediate plane from received symbol values.
-
-        ``esis`` are the received encoding-symbol ids in ascending order and
-        ``received`` the matching (len(esis) x T) symbol plane.
-        """
-
-
-@register_backend
-class ReferenceBackend(CodecBackend):
-    """The original per-block elimination path, kept as ground truth."""
-
-    name = "reference"
-
-    def compute_intermediate(
-        self, context: "CodecContext", params: CodeParameters, source: np.ndarray
-    ) -> np.ndarray:
-        matrix = build_constraint_matrix(params)
-        constraints = params.num_ldpc_symbols + params.num_hdpc_symbols
-        rhs = np.zeros((params.num_intermediate_symbols, source.shape[1]), dtype=np.uint8)
-        rhs[constraints:] = source
-        return solve(matrix, rhs, kernel=context.kernel)
-
-    def solve_received(
-        self,
-        context: "CodecContext",
-        params: CodeParameters,
-        esis: tuple[int, ...],
-        received: np.ndarray,
-    ) -> np.ndarray:
-        matrix = received_matrix(params, esis)
-        constraints = params.num_ldpc_symbols + params.num_hdpc_symbols
-        rhs = np.zeros((constraints + len(esis), received.shape[1]), dtype=np.uint8)
-        rhs[constraints:] = received
-        return solve(
-            matrix, rhs, num_unknowns=params.num_intermediate_symbols, kernel=context.kernel
-        )
-
-
-@register_backend
-class PlannedBackend(CodecBackend):
-    """Elimination-plan cache + batched replay (the default backend)."""
-
-    name = "planned"
-
-    def compute_intermediate(
-        self, context: "CodecContext", params: CodeParameters, source: np.ndarray
-    ) -> np.ndarray:
-        plan = context.plan_for(
-            ("encode", params),
-            lambda: build_plan(
-                constraint_matrix(params), record_steps=False, kernel=context.kernel
-            ),
-        )
-        constraints = params.num_ldpc_symbols + params.num_hdpc_symbols
-        return plan.apply_from_row(source, constraints, kernel=context.kernel)
-
-    def solve_received(
-        self,
-        context: "CodecContext",
-        params: CodeParameters,
-        esis: tuple[int, ...],
-        received: np.ndarray,
-    ) -> np.ndarray:
-        if context.canonical_decode_plans:
-            return self._solve_received_canonical(context, params, esis, received)
-        plan = context.plan_for(
-            ("decode", params, esis),
-            lambda: build_plan(
-                received_matrix(params, esis),
-                num_unknowns=params.num_intermediate_symbols,
-                record_steps=False,
-                kernel=context.kernel,
-            ),
-            decode=True,
-        )
-        constraints = params.num_ldpc_symbols + params.num_hdpc_symbols
-        return plan.apply_from_row(received, constraints, kernel=context.kernel)
-
-    def _solve_received_canonical(
-        self,
-        context: "CodecContext",
-        params: CodeParameters,
-        esis: tuple[int, ...],
-        received: np.ndarray,
-    ) -> np.ndarray:
-        """Decode through canonical plan keys, widening on singular systems.
-
-        Candidates run from the minimal system (surviving sources plus
-        exactly as many repair rows as sources went missing -- the key most
-        likely to be shared across blocks) outward, adding one received
-        repair row per step.  A candidate whose matrix is singular is
-        remembered in the context so later blocks with the same pattern skip
-        straight to the first workable width instead of re-running a doomed
-        elimination.
-        """
-        constraints = params.num_ldpc_symbols + params.num_hdpc_symbols
-        position = {esi: index for index, esi in enumerate(esis)}
-        last_error: Optional[SingularMatrixError] = None
-        for key, used in canonical_decode_candidates(params, esis):
-            if key in context.singular_decode_keys:
-                context.decode_plan_retries += 1
-                last_error = SingularMatrixError(
-                    f"known-singular decode system for {len(used)} received symbols"
-                )
-                continue
-            try:
-                plan = context.plan_for(
-                    key,
-                    lambda used=used: build_plan(
-                        received_matrix(params, used),
-                        num_unknowns=params.num_intermediate_symbols,
-                        record_steps=False,
-                        kernel=context.kernel,
-                    ),
-                    decode=True,
-                )
-            except SingularMatrixError as error:
-                context.singular_decode_keys.add(key)
-                context.decode_plan_retries += 1
-                last_error = error
-                continue
-            if used == tuple(esis):
-                rhs_tail = received
-            else:
-                rows = np.fromiter(
-                    (position[esi] for esi in used), dtype=np.intp, count=len(used)
-                )
-                rhs_tail = received[rows]
-            return plan.apply_from_row(rhs_tail, constraints, kernel=context.kernel)
-        raise last_error if last_error is not None else SingularMatrixError(
-            "no received symbols to decode from"
-        )
+def _build_decode_plan(
+    params: CodeParameters, used: tuple[int, ...], kernel: GFKernel
+) -> EliminationPlan:
+    return build_plan(
+        received_matrix(params, used),
+        num_unknowns=params.num_intermediate_symbols,
+        kernel=kernel,
+    )
 
 
 class CodecContext:
-    """One backend + one GF(256) kernel + one shared plan cache + counters.
+    """One GF(256) kernel + one shared plan cache + its counters.
 
     Create one per simulation (the experiment runner does) and hand it to
     every agent so all sessions amortise plan construction; the module-level
     :func:`default_context` serves library users who do not manage contexts.
 
     Args:
-        backend: a registered backend name (``"planned"`` / ``"reference"``)
-            or an already-constructed :class:`CodecBackend` instance.
         max_cached_plans: LRU capacity of the elimination-plan cache.
         preload: optional :class:`~repro.rq.plan.PlanStore` whose plans seed
             the cache before any block is processed (used by sharded runs so
@@ -261,23 +86,16 @@ class CodecContext:
             (honour ``REPRO_GF_KERNEL``, then pick the best available), or a
             pre-built :class:`~repro.rq.kernels.GFKernel`.  Every kernel
             produces byte-identical symbols; only wall-clock changes.
-        canonical_decode_plans: key decode plans by the canonical
-            missing-source pattern (default) instead of the exact
-            received-ESI set.  The legacy exact keying is kept selectable so
-            tests and reports can quantify the canonicalisation win.
     """
 
     def __init__(
         self,
-        backend: Union[str, CodecBackend] = DEFAULT_BACKEND,
+        *,
         max_cached_plans: int = 256,
         preload: Optional[PlanStore] = None,
         kernel: Union[str, GFKernel, None] = None,
-        canonical_decode_plans: bool = True,
     ) -> None:
-        self.backend = create_backend(backend) if isinstance(backend, str) else backend
         self.kernel = get_kernel(kernel)
-        self.canonical_decode_plans = canonical_decode_plans
         self.stats = CacheStats(name="rq_plan_cache")
         self.decode_stats = CacheStats(name="rq_decode_plan_cache")
         #: Canonical decode keys whose matrix turned out singular; remembered
@@ -290,11 +108,6 @@ class CodecContext:
         self.blocks_decoded = 0
         if preload is not None:
             self._plans.preload(preload)
-
-    @property
-    def backend_name(self) -> str:
-        """Name of the active backend."""
-        return self.backend.name
 
     @property
     def kernel_name(self) -> str:
@@ -326,16 +139,63 @@ class CodecContext:
         return plan
 
     def encode_intermediate(self, params: CodeParameters, source: np.ndarray) -> np.ndarray:
-        """Encode-side solve for one block (see :class:`CodecBackend`)."""
+        """Return the (L x T) intermediate plane for a (K x T) source plane."""
         self.blocks_encoded += 1
-        return self.backend.compute_intermediate(self, params, source)
+        plan = self.plan_for(
+            ("encode", params),
+            lambda: build_plan(constraint_matrix(params), kernel=self.kernel),
+        )
+        return plan.apply_from_row(source, _constraint_rows(params), kernel=self.kernel)
 
     def decode_intermediate(
         self, params: CodeParameters, esis: Sequence[int], received: np.ndarray
     ) -> np.ndarray:
-        """Decode-side solve for one block (see :class:`CodecBackend`)."""
+        """Return the (L x T) intermediate plane from received symbol values.
+
+        ``esis`` are the received encoding-symbol ids in ascending order and
+        ``received`` the matching (len(esis) x T) symbol plane.
+
+        Candidates run from the minimal system (surviving sources plus
+        exactly as many repair rows as sources went missing -- the key most
+        likely to be shared across blocks) outward, adding one received
+        repair row per step.  A candidate whose matrix is singular is
+        remembered in the context so later blocks with the same pattern skip
+        straight to the first workable width instead of re-running a doomed
+        elimination.
+        """
         self.blocks_decoded += 1
-        return self.backend.solve_received(self, params, tuple(esis), received)
+        esis = tuple(esis)
+        position = {esi: index for index, esi in enumerate(esis)}
+        last_error: Optional[SingularMatrixError] = None
+        for key, used in canonical_decode_candidates(params, esis):
+            if key in self.singular_decode_keys:
+                self.decode_plan_retries += 1
+                last_error = SingularMatrixError(
+                    f"known-singular decode system for {len(used)} received symbols"
+                )
+                continue
+            try:
+                plan = self.plan_for(
+                    key,
+                    lambda used=used: _build_decode_plan(params, used, self.kernel),
+                    decode=True,
+                )
+            except SingularMatrixError as error:
+                self.singular_decode_keys.add(key)
+                self.decode_plan_retries += 1
+                last_error = error
+                continue
+            if used == esis:
+                rhs_tail = received
+            else:
+                rows = np.fromiter(
+                    (position[esi] for esi in used), dtype=np.intp, count=len(used)
+                )
+                rhs_tail = received[rows]
+            return plan.apply_from_row(rhs_tail, _constraint_rows(params), kernel=self.kernel)
+        raise last_error if last_error is not None else SingularMatrixError(
+            "no received symbols to decode from"
+        )
 
     def snapshot_plans(self) -> PlanStore:
         """Export the current plan cache as a picklable :class:`PlanStore`."""
@@ -348,9 +208,7 @@ class CodecContext:
     def stats_dict(self) -> dict:
         """A JSON-friendly snapshot for experiment reports."""
         return {
-            "backend": self.backend_name,
             "kernel": self.kernel_name,
-            "canonical_decode_plans": self.canonical_decode_plans,
             "blocks_encoded": self.blocks_encoded,
             "blocks_decoded": self.blocks_decoded,
             "plan_cache": self.stats.as_dict(),
@@ -367,22 +225,30 @@ def default_context() -> CodecContext:
     """The process-wide context used when callers do not supply one."""
     global _default_context
     if _default_context is None:
-        _default_context = CodecContext(DEFAULT_BACKEND)
+        _default_context = CodecContext()
     return _default_context
 
 
 def set_default_backend(name: str) -> CodecContext:
-    """Replace the process-wide default context with one for ``name``."""
+    """Replace the process-wide default context with a fresh (cold) one.
+
+    Kept for callers that reset the default context between measurements by
+    this name; ``name`` must be :data:`DEFAULT_BACKEND`, as the codec has a
+    single path.
+    """
     global _default_context
-    _default_context = CodecContext(name)
+    if name != DEFAULT_BACKEND:
+        raise ValueError(f"unknown codec backend {name!r}; the only one is {DEFAULT_BACKEND!r}")
+    _default_context = CodecContext()
     return _default_context
 
 
 # Plan pre-warming -------------------------------------------------------------------
 #
-# These build the same plans, under the same keys, that PlannedBackend would
+# These build the same plans, under the same keys, that a CodecContext would
 # build lazily, so a store produced here is indistinguishable from one
-# snapshotted after a run.
+# snapshotted after a run.  Elimination runs on the process-default kernel,
+# as live encodes and decodes do; every kernel yields byte-identical plans.
 
 
 def prewarm_encode_plans(
@@ -395,11 +261,12 @@ def prewarm_encode_plans(
     the (possibly supplied) store with the plans added.
     """
     store = store if store is not None else PlanStore()
+    kernel = get_kernel(None)
     for k in sorted(set(k_values)):
         params = for_k(k)
         key = ("encode", params)
         if key not in store:
-            store.add(key, build_plan(constraint_matrix(params), record_steps=False))
+            store.add(key, build_plan(constraint_matrix(params), kernel=kernel))
     return store
 
 
@@ -407,56 +274,30 @@ def prewarm_decode_plans(
     k: int,
     esi_sets: Iterable[Sequence[int]],
     store: Optional[PlanStore] = None,
-    canonical: bool = True,
 ) -> PlanStore:
     """Build decode-side plans for explicit received-ESI sets of a K-symbol block.
 
     Decode plans depend on which packets the network lost -- the parent
     cannot enumerate them in general.  This helper exists for callers that do
-    know their loss patterns (tests, replay tooling); the parallel executor
-    pre-warms only encode plans and lets decode plans accumulate per worker.
+    know their loss patterns (tests, replay tooling, and the common-pattern
+    pre-warm of :func:`prewarm_canonical_decode_plans`).
 
-    With ``canonical=True`` (the default, matching
-    ``CodecContext(canonical_decode_plans=True)``) each ESI set is reduced to
-    the same candidate ladder :class:`PlannedBackend` walks -- minimal system
-    first, widening past singular matrices -- so the stored key is exactly
-    the one a live decode of that pattern will look up.  One canonical plan
+    Each ESI set is reduced to the same candidate ladder
+    :meth:`CodecContext.decode_intermediate` walks -- minimal system first,
+    widening past singular matrices -- so the stored key is exactly the one
+    a live decode of that pattern will look up.  One canonical plan
     therefore pre-warms *every* ESI set sharing the missing-source pattern,
     not just the literal set given.
-
-    ``canonical=False`` writes the exact-ESI keys that only a
-    ``CodecContext(canonical_decode_plans=False)`` context looks up -- pair
-    the store with such a context.  The two key shapes cannot collide (a
-    3- vs 4-tuple), so mixing them in one store is safe, but exact keys
-    preloaded into a *canonical* context are inert: never matched, only
-    occupying LRU capacity.  The :data:`~repro.rq.plan.PLAN_STORE_SCHEMA`
-    stamp guards the *store format* across releases, not which of the two
-    intra-format keyings a given plan was stored under.
     """
     store = store if store is not None else PlanStore()
     params = for_k(k)
+    kernel = get_kernel(None)
     for esis in esi_sets:
-        if not canonical:
-            key = ("decode", params, tuple(esis))
-            if key not in store:
-                store.add(
-                    key,
-                    build_plan(
-                        received_matrix(params, tuple(esis)),
-                        num_unknowns=params.num_intermediate_symbols,
-                        record_steps=False,
-                    ),
-                )
-            continue
         for key, used in canonical_decode_candidates(params, esis):
             if key in store:
                 break
             try:
-                plan = build_plan(
-                    received_matrix(params, used),
-                    num_unknowns=params.num_intermediate_symbols,
-                    record_steps=False,
-                )
+                plan = _build_decode_plan(params, used, kernel)
             except SingularMatrixError:
                 continue
             store.add(key, plan)
@@ -510,9 +351,9 @@ def prewarm_canonical_decode_plans(
     exactly those sources -- the surviving sources plus the first
     ``len(missing) + 2`` repair ESIs, enough headroom for the candidate
     ladder to widen past a singular minimal system -- and stores the first
-    non-singular canonical plan.  Keys are exactly what a live
-    ``CodecContext(canonical_decode_plans=True)`` decode of that pattern
-    looks up, so a lossy sweep's workers start with their hot paths solved.
+    non-singular canonical plan.  Keys are exactly what a live decode of
+    that pattern looks up, so a lossy sweep's workers start with their hot
+    paths solved.
     """
     store = store if store is not None else PlanStore()
     for k in sorted(set(k_values)):
@@ -522,5 +363,5 @@ def prewarm_canonical_decode_plans(
             surviving = [esi for esi in range(k) if esi not in gone]
             repairs = list(range(k, k + len(missing) + 2))
             esi_sets.append(surviving + repairs)
-        prewarm_decode_plans(k, esi_sets, store=store, canonical=True)
+        prewarm_decode_plans(k, esi_sets, store=store)
     return store

@@ -14,11 +14,11 @@ source block.  Source symbols that were received directly are returned as-is
 property the paper highlights.
 
 The solve itself is delegated to the shared
-:class:`~repro.rq.backend.CodecContext`: under the default ``planned``
-backend the elimination plan is cached canonically by this block's
-*missing-source pattern* (not the raw ESI set), so every later block that
-lost the same sources decodes by replaying one cached plan on the context's
-GF(256) kernel, no matter how many surplus repair symbols arrived.
+:class:`~repro.rq.backend.CodecContext`: the elimination plan is cached
+canonically by this block's *missing-source pattern* (not the raw ESI set),
+so every later block that lost the same sources decodes by replaying one
+cached plan on the context's GF(256) kernel, no matter how many surplus
+repair symbols arrived.
 """
 
 from __future__ import annotations

@@ -1,9 +1,9 @@
 """Block encoder: systematic + rateless encoding-symbol generation.
 
 A :class:`BlockEncoder` takes the K source symbols of one source block,
-computes the L intermediate symbols once (delegated to the codec backend of
-its :class:`~repro.rq.backend.CodecContext`, which caches elimination plans
-per K') and can then generate *any* encoding symbol on demand:
+computes the L intermediate symbols once (delegated to its
+:class:`~repro.rq.backend.CodecContext`, which caches elimination plans per
+K') and can then generate *any* encoding symbol on demand:
 
 * ESIs ``0 .. K-1`` are the source symbols themselves (systematic property,
   verified at construction time);

@@ -4,14 +4,10 @@ The RFC 6330 style codec spends nearly all of its CPU in Gaussian
 elimination, yet the matrix being eliminated depends only on the code
 parameters (encode side: the L x L constraint matrix is a pure function of
 K') or on the parameters plus the set of received ESIs (decode side).  An
-:class:`EliminationPlan` captures one elimination as
-
-* the ordered **row-op sequence** (swap / scale / fused multiply-XOR)
-  recorded as numpy index arrays while :func:`repro.rq.solver.solve` runs,
-  and
-* the fused **solution operator** ``R`` obtained by applying that sequence
-  to an identity right-hand side, so that for any symbol plane ``D`` the
-  solution of ``A . X = D`` is simply ``R . D``.
+:class:`EliminationPlan` captures one elimination as its fused **solution
+operator** ``R``, obtained by eliminating ``A`` once against an identity
+right-hand side, so that for any symbol plane ``D`` the
+solution of ``A . X = D`` is simply ``R . D``.
 
 Replaying a plan over the (n x symbol_size) symbol plane of a block is one
 batched GF(256) matrix product -- no pivot searches, no matrix-side row
@@ -26,9 +22,7 @@ plus the repair rows actually consumed (:func:`canonical_decode_candidates`)
 rather than by the raw received-ESI set: a receiver that lost source
 symbols {2, 5} decodes with the same elimination plan whether it received
 two or five surplus repair symbols, which is what keeps the decode plan
-cache hot under heavy loss.  The persistent :class:`PlanStore` records a
-schema number (:data:`PLAN_STORE_SCHEMA`) so stores written under the old
-exact-ESI keying are rejected cleanly instead of poisoning the cache.
+cache hot under heavy loss.
 """
 
 from __future__ import annotations
@@ -37,21 +31,11 @@ import pickle
 from collections import OrderedDict
 from dataclasses import dataclass, field
 from functools import lru_cache
-from pathlib import Path
-from typing import (
-    TYPE_CHECKING,
-    Callable,
-    Hashable,
-    Iterator,
-    Mapping,
-    Optional,
-    Sequence,
-    Union,
-)
+from typing import TYPE_CHECKING, Callable, Hashable, Iterator, Mapping, Optional, Sequence
 
 import numpy as np
 
-from repro.rq.gf256 import gf_addmul_rows, gf_matmul, gf_scale_vector
+from repro.rq.gf256 import gf_matmul
 from repro.rq.matrix import build_constraint_matrix, hdpc_rows, ldpc_rows, lt_row
 from repro.rq.params import CodeParameters
 from repro.rq.solver import solve
@@ -59,68 +43,14 @@ from repro.rq.solver import solve
 if TYPE_CHECKING:  # pragma: no cover
     from repro.rq.kernels import GFKernel
 
-#: Version of the plan-key schema a :class:`PlanStore` is written under.
-#: Bumped whenever the key convention changes (v1: decode plans keyed by the
-#: exact received-ESI set; v2: canonical missing-source-pattern keys), so a
-#: persisted store from another schema is rejected instead of silently
-#: serving plans nothing will ever look up -- or worse, colliding.
-PLAN_STORE_SCHEMA = 2
-
-
-class PlanStoreSchemaError(ValueError):
-    """A persisted :class:`PlanStore` was written under a different key schema."""
-
-
-@dataclass(frozen=True)
-class PlanStep:
-    """One recorded row operation.
-
-    ``kind`` is ``"swap"`` (rows = [a, b]), ``"scale"`` (rows = [row],
-    factors = [factor]) or ``"xor"`` (rows = targets, factors = per-target
-    multipliers, source_row = the pivot row XORed into the targets).
-    """
-
-    kind: str
-    rows: np.ndarray
-    factors: np.ndarray
-    source_row: int = -1
-
-
-class _StepRecorder:
-    """Collects the row-op sequence emitted by the solver."""
-
-    def __init__(self) -> None:
-        self.steps: list[PlanStep] = []
-
-    def swap(self, row_a: int, row_b: int) -> None:
-        self.steps.append(
-            PlanStep("swap", np.array([row_a, row_b], dtype=np.intp), np.empty(0, dtype=np.uint8))
-        )
-
-    def scale(self, row: int, factor: int) -> None:
-        self.steps.append(
-            PlanStep("scale", np.array([row], dtype=np.intp), np.array([factor], dtype=np.uint8))
-        )
-
-    def eliminate(self, source_row: int, targets: np.ndarray, factors: np.ndarray) -> None:
-        self.steps.append(
-            PlanStep("xor", targets.astype(np.intp), factors.astype(np.uint8), source_row)
-        )
-
 
 @dataclass(frozen=True)
 class EliminationPlan:
-    """A recorded, replayable Gaussian elimination of one fixed matrix.
-
-    ``steps`` is the recorded row-op tape, or ``None`` when the plan was
-    built with ``record_steps=False`` (the cached production path keeps only
-    the fused operator, halving per-plan memory).
-    """
+    """The fused solution operator of one fixed matrix's Gaussian elimination."""
 
     num_rows: int
     num_unknowns: int
     operator: np.ndarray
-    steps: Optional[tuple[PlanStep, ...]]
 
     def apply(self, rhs: np.ndarray, kernel: Optional["GFKernel"] = None) -> np.ndarray:
         """Solve for the unknowns given a full (num_rows x T) right-hand side.
@@ -150,36 +80,14 @@ class EliminationPlan:
         matmul = gf_matmul if kernel is None else kernel.matmul
         return matmul(self.operator[:, first_row:], rhs_tail)
 
-    def replay(self, rhs: np.ndarray) -> np.ndarray:
-        """Step-by-step replay of the recorded row ops (reference/testing path).
-
-        Produces exactly what :meth:`apply` computes via the fused operator;
-        tests use the agreement of the two paths to validate plan recording.
-        """
-        if self.steps is None:
-            raise ValueError("plan was built with record_steps=False; no op tape to replay")
-        work = rhs.astype(np.uint8).copy()
-        for step in self.steps:
-            if step.kind == "swap":
-                a, b = step.rows
-                work[[a, b]] = work[[b, a]]
-            elif step.kind == "scale":
-                work[step.rows[0]] = gf_scale_vector(work[step.rows[0]], int(step.factors[0]))
-            else:
-                gf_addmul_rows(work, step.source_row, step.rows, step.factors)
-        return work[: self.num_unknowns]
-
 
 def build_plan(
     matrix: np.ndarray,
     num_unknowns: Optional[int] = None,
-    record_steps: bool = True,
     kernel: Optional["GFKernel"] = None,
 ) -> EliminationPlan:
-    """Eliminate ``matrix`` once, recording the ops and the fused operator.
+    """Eliminate ``matrix`` once, keeping the fused solution operator.
 
-    ``record_steps=False`` keeps only the fused operator (what replay needs);
-    the op tape is O(L^2) numpy data, so cached production plans skip it.
     ``kernel`` runs the elimination's row operations on a
     :mod:`repro.rq.kernels` kernel; the resulting operator is byte-identical
     for every kernel.
@@ -187,17 +95,11 @@ def build_plan(
     Raises :class:`repro.rq.solver.SingularMatrixError` when the matrix does
     not have full column rank, exactly like a direct solve would.
     """
-    recorder = _StepRecorder() if record_steps else None
     rows = matrix.shape[0]
     identity = np.eye(rows, dtype=np.uint8)
-    operator = solve(matrix, identity, num_unknowns, recorder=recorder, kernel=kernel)
+    operator = solve(matrix, identity, num_unknowns, kernel=kernel)
     operator.setflags(write=False)
-    return EliminationPlan(
-        num_rows=rows,
-        num_unknowns=operator.shape[0],
-        operator=operator,
-        steps=tuple(recorder.steps) if recorder is not None else None,
-    )
+    return EliminationPlan(num_rows=rows, num_unknowns=operator.shape[0], operator=operator)
 
 
 # Structure caches ------------------------------------------------------------------
@@ -245,9 +147,8 @@ def received_matrix(params: CodeParameters, esis: Sequence[int]) -> np.ndarray:
 # canonical function of the loss pattern, not of everything that happened to
 # arrive.  A receiver that lost source symbols {2, 5} needs exactly the
 # surviving sources plus (at least) two repair rows; any surplus repair
-# symbols beyond those add rows that change the raw ESI set -- and therefore
-# fragmented the old exact-ESI cache key -- without changing the system that
-# actually has to be solved.
+# symbols beyond those change the raw ESI set without changing the system
+# that actually has to be solved, so they must not change the key either.
 
 
 def missing_source_pattern(params: CodeParameters, esis: Sequence[int]) -> tuple[int, ...]:
@@ -266,8 +167,7 @@ def canonical_decode_candidates(
     smallest full-rank candidate, and the key most likely to be shared with
     other blocks), each later one adds one more received repair row.  A
     caller walks the sequence until a candidate's matrix turns out to be
-    non-singular; the last candidate uses every received symbol, which is
-    exactly the system the legacy exact-ESI path solved.
+    non-singular; the last candidate uses every received symbol.
 
     Keys have the shape ``("decode", params, missing_sources, used_repairs)``
     -- the missing-source pattern plus the ascending repair ESIs consumed.
@@ -305,15 +205,10 @@ class PlanStore:
     Keys follow the convention of :mod:`repro.rq.backend`:
     ``("encode", params)`` for encode-side plans and
     ``("decode", params, missing_sources, used_repairs)`` (see
-    :func:`canonical_decode_candidates`) for decode-side plans.  The
-    ``schema`` field records which key convention the store was written
-    under; loading a store from a different schema raises
-    :class:`PlanStoreSchemaError` so stale keys can never poison a cache --
-    callers treat that as "rebuild", never as fatal.
+    :func:`canonical_decode_candidates`) for decode-side plans.
     """
 
     plans: dict[Hashable, EliminationPlan] = field(default_factory=dict)
-    schema: int = PLAN_STORE_SCHEMA
 
     def __len__(self) -> int:
         return len(self.plans)
@@ -325,53 +220,22 @@ class PlanStore:
         """Insert (or replace) one plan."""
         self.plans[key] = plan
 
-    def merge(self, other: "PlanStore") -> None:
-        """Absorb every plan of ``other`` (existing keys are kept)."""
-        for key, plan in other.plans.items():
-            self.plans.setdefault(key, plan)
-
     def to_bytes(self) -> bytes:
         """Serialise the store (pickle) for shipping to worker processes."""
         return pickle.dumps(self, protocol=pickle.HIGHEST_PROTOCOL)
 
     @classmethod
     def from_bytes(cls, payload: bytes) -> "PlanStore":
-        """Rebuild a store serialised with :meth:`to_bytes`.
-
-        Raises :class:`PlanStoreSchemaError` when the store was written
-        under a different plan-key schema (including pre-versioning stores,
-        which unpickle as schema 1): its keys would never be looked up under
-        the current convention, so serving them would waste cache capacity
-        at best and replay stale plans at worst.
-        """
+        """Rebuild a store serialised with :meth:`to_bytes`."""
         store = pickle.loads(payload)
         if not isinstance(store, cls):
             raise TypeError(f"payload does not contain a PlanStore (got {type(store)!r})")
-        if store.schema != PLAN_STORE_SCHEMA:
-            raise PlanStoreSchemaError(
-                f"plan store uses key schema v{store.schema}, this build expects "
-                f"v{PLAN_STORE_SCHEMA}; discard the store and rebuild"
-            )
         return store
-
-    def save(self, path: Union[str, Path]) -> Path:
-        """Write the store to ``path``; returns the path written."""
-        path = Path(path)
-        path.write_bytes(self.to_bytes())
-        return path
-
-    @classmethod
-    def load(cls, path: Union[str, Path]) -> "PlanStore":
-        """Read a store previously written by :meth:`save`."""
-        return cls.from_bytes(Path(path).read_bytes())
 
     def __setstate__(self, state: Mapping) -> None:
         # Unpickled numpy arrays come back writable; re-freeze the operators
-        # so shared plans stay immutable in every process.  Stores pickled
-        # before versioning carry no schema field: they were written under
-        # the exact-ESI keying, i.e. schema 1.
+        # so shared plans stay immutable in every process.
         self.__dict__.update(state)
-        self.schema = state.get("schema", 1)
         for plan in self.plans.values():
             plan.operator.setflags(write=False)
 

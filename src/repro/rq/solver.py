@@ -5,17 +5,13 @@ intermediate symbols) and the decoder (overdetermined system: received
 encoding symbols + static constraints -> intermediate symbols).  Row
 operations are vectorised with numpy so that the cost is dominated by
 ``O(L^2)`` row-XOR/scale operations rather than Python-level loops over
-matrix cells.
-
-:func:`solve` optionally reports every row operation it performs (swap,
-scale, fused multiply-XOR) to a recorder object.  :mod:`repro.rq.plan` uses
-this to capture the elimination of a fixed matrix once and replay it over
-the symbol plane of every later block with the same code parameters.
+matrix cells.  :mod:`repro.rq.plan` solves against an identity right-hand
+side to capture a fixed matrix's elimination as one reusable operator.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Optional, Protocol
+from typing import TYPE_CHECKING, Optional
 
 import numpy as np
 
@@ -23,19 +19,6 @@ from repro.rq.gf256 import gf_addmul_rows, gf_inv, gf_scale_vector
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.rq.kernels import GFKernel
-
-
-class RowOpRecorder(Protocol):
-    """Receives the row operations :func:`solve` performs, in order."""
-
-    def swap(self, row_a: int, row_b: int) -> None:
-        """Rows ``row_a`` and ``row_b`` were exchanged."""
-
-    def scale(self, row: int, factor: int) -> None:
-        """Row ``row`` was multiplied by ``factor``."""
-
-    def eliminate(self, source_row: int, targets: np.ndarray, factors: np.ndarray) -> None:
-        """``rows[targets] ^= factors[:, None] * rows[source_row]`` was applied."""
 
 
 class SingularMatrixError(ValueError):
@@ -76,7 +59,6 @@ def solve(
     matrix: np.ndarray,
     values: np.ndarray,
     num_unknowns: Optional[int] = None,
-    recorder: Optional[RowOpRecorder] = None,
     kernel: Optional["GFKernel"] = None,
 ) -> np.ndarray:
     """Solve ``matrix . X = values`` for X over GF(256).
@@ -90,14 +72,11 @@ def solve(
         matrix: (n, L) uint8 coefficient matrix; ``n >= L`` is required.
         values: (n, T) uint8 right-hand sides (one row of T bytes per equation).
         num_unknowns: L; defaults to ``matrix.shape[1]``.
-        recorder: optional sink notified of every row operation performed;
-            the recorded sequence depends only on ``matrix``, never on
-            ``values``, so it can be replayed against other right-hand sides.
         kernel: optional :class:`~repro.rq.kernels.GFKernel` whose
             ``addmul_rows`` executes the fused multiply-XOR row operations;
             defaults to the numpy ground truth.  Every kernel computes the
-            exact same field arithmetic, so the solution (and any recorded
-            plan) is byte-identical regardless of the choice.
+            exact same field arithmetic, so the solution (and any plan
+            built from it) is byte-identical regardless of the choice.
 
     Returns:
         (L, T) uint8 array of solved unknowns.
@@ -127,24 +106,16 @@ def solve(
         pivot = col + int(candidates[0])
         if pivot != col:
             work[[col, pivot]] = work[[pivot, col]]
-            if recorder is not None:
-                recorder.swap(col, pivot)
         active = work[:, col:]
         pivot_value = int(active[col, 0])
         if pivot_value != 1:
-            inverse = gf_inv(pivot_value)
-            active[col] = gf_scale_vector(active[col], inverse)
-            if recorder is not None:
-                recorder.scale(col, inverse)
+            active[col] = gf_scale_vector(active[col], gf_inv(pivot_value))
         # Eliminate the pivot column from every other row (Gauss-Jordan) so the
         # solution can be read off directly at the end.
         column = active[:, 0].copy()
         column[col] = 0
         targets = np.flatnonzero(column)
         if targets.size:
-            factors = column[targets]
-            addmul_rows(active, col, targets, factors)
-            if recorder is not None:
-                recorder.eliminate(col, targets.copy(), factors.copy())
+            addmul_rows(active, col, targets, column[targets])
 
     return work[:unknowns, cols:].copy()

@@ -48,7 +48,7 @@ class PolyraptorTestbed:
         )
         self.registry = TransferRegistry()
         self.config = config or PolyraptorConfig()
-        self.codec = CodecContext(self.config.codec_backend)
+        self.codec = CodecContext(kernel=self.config.codec_kernel)
         self.agents = {
             host.name: PolyraptorAgent(self.sim, host, self.config, self.registry,
                                        codec_context=self.codec)
@@ -92,10 +92,9 @@ class TcpTestbed:
 def _isolated_home(tmp_path_factory, monkeypatch):
     """Point ``Path.home()`` at a per-session temp dir.
 
-    Anything that resolves ``~/.cache/repro`` (the persistent plan cache,
-    via :func:`repro.experiments.parallel.default_plan_cache_path`) then
-    reads and writes inside pytest's temp tree instead of the real home
-    directory, so test runs leave no stray state behind.
+    Anything that resolves ``~`` then reads and writes inside pytest's temp
+    tree instead of the real home directory, so test runs leave no stray
+    state behind.
     """
     home = tmp_path_factory.getbasetemp() / "home"
     home.mkdir(exist_ok=True)

@@ -1,6 +1,6 @@
 """End-to-end tests: plan-cache counters flow from sessions into reports.
 
-These run real payload-carrying simulations on the ``planned`` backend: the
+These run real payload-carrying simulations on the planned codec path: the
 runner synthesises object bytes, senders encode them through the shared
 :class:`~repro.rq.backend.CodecContext`, receivers decode, and the run
 result carries the plan-cache hit/miss counters that experiment reports
@@ -26,7 +26,7 @@ PAYLOAD_CONFIG = ExperimentConfig(
     object_bytes=64 * KILOBYTE,
     background_fraction=0.0,
     max_sim_time_s=30.0,
-    polyraptor=PolyraptorConfig(carry_payload=True, codec_backend="planned"),
+    polyraptor=PolyraptorConfig(carry_payload=True),
 )
 
 
@@ -49,7 +49,7 @@ class TestCodecStatsEndToEnd:
         assert result.completion_fraction == 1.0
         stats = result.codec_stats
         assert stats is not None
-        assert stats["backend"] == "planned"
+        assert stats["kernel"]
         assert stats["blocks_encoded"] >= 3
         cache = stats["plan_cache"]
         # Three same-sized objects share one K': the first block misses,
@@ -80,19 +80,6 @@ class TestCodecStatsEndToEnd:
                                topology=topology)
         assert result.codec_stats is None
 
-    def test_reference_backend_selectable_per_run(self):
-        topology = FatTreeTopology(4)
-        config = replace(
-            PAYLOAD_CONFIG,
-            polyraptor=PolyraptorConfig(carry_payload=True, codec_backend="reference"),
-        )
-        result = run_transfers(Protocol.POLYRAPTOR, config, [_workload()[0]],
-                               topology=topology)
-        assert result.completion_fraction == 1.0
-        assert result.codec_stats["backend"] == "reference"
-        assert result.codec_stats["plan_cache"]["hits"] == 0
-        assert result.codec_stats["plan_cache"]["misses"] == 0
-
     def test_figure1a_runs_on_planned_backend_with_counters(self):
         config = replace(
             PAYLOAD_CONFIG,
@@ -105,11 +92,10 @@ class TestCodecStatsEndToEnd:
         run = result.runs[label]
         assert run.completion_fraction == 1.0
         assert run.codec_stats is not None
-        assert run.codec_stats["backend"] == "planned"
         assert run.codec_stats["plan_cache"]["hits"] >= 1
 
         rendered = format_codec_stats({label: run.codec_stats})
-        assert "planned" in rendered
+        assert run.codec_stats["kernel"] in rendered
         assert "plan hits" in rendered
 
 

@@ -25,7 +25,7 @@ from repro.experiments.report import (
     format_incast,
     format_transport_stats,
     merge_codec_stats,
-    merge_transport_stats,
+    merge_counters,
 )
 from repro.experiments.runner import run_transfers
 from repro.utils.units import KILOBYTE
@@ -154,7 +154,7 @@ class TestMarkOffIsLegacy:
 
 class TestMergeRoundTrip:
     def test_transport_stats_merge_sums_and_counts_shards(self):
-        merged = merge_transport_stats([
+        merged = merge_counters([
             {"ecn_marks": 3, "rate_updates": 5, "gray_detected": 1},
             None,  # a feature-off shard contributes nothing
             {"ecn_marks": 2, "rate_updates": 1, "gray_detected": 0},
@@ -166,19 +166,19 @@ class TestMergeRoundTrip:
     def test_transport_stats_merge_keeps_unknown_counters(self):
         # The stale-counter trap: a counter added later must survive the
         # sharded merge, or --jobs N diverges from --jobs 1.
-        merged = merge_transport_stats([
+        merged = merge_counters([
             {"ecn_marks": 1, "brand_new_counter": 7},
             {"ecn_marks": 1, "brand_new_counter": 2},
         ])
         assert merged["brand_new_counter"] == 9
 
     def test_transport_stats_merge_none_when_all_absent(self):
-        assert merge_transport_stats([None, None]) is None
-        assert merge_transport_stats([]) is None
+        assert merge_counters([None, None]) is None
+        assert merge_counters([]) is None
 
     def test_codec_stats_merge_keeps_unknown_counters(self):
         base = {
-            "backend": "planned", "kernel": "native",
+            "kernel": "native",
             "blocks_encoded": 1, "blocks_decoded": 1,
             "plan_cache": {"hits": 1, "misses": 1},
             "decode_plan_cache": {"hits": 0, "misses": 0},
@@ -192,8 +192,8 @@ class TestMergeRoundTrip:
 
     def test_merged_equals_single_run_shape(self):
         single = {"ecn_marks": 4, "ce_received": 4, "rate_updates": 2, "gray_detected": 0}
-        merged = merge_transport_stats([single])
-        round_tripped = merge_transport_stats([merged])
+        merged = merge_counters([single])
+        round_tripped = merge_counters([merged])
         # Idempotent apart from the shards bookkeeping.
         assert {k: v for k, v in round_tripped.items() if k != "shards"} == single
 

@@ -19,13 +19,11 @@ from repro.experiments.figure1a import run_figure1a
 from repro.experiments.parallel import (
     RunJob,
     available_cpus,
-    default_plan_cache_path,
     execute_jobs,
     last_profile,
     plan_store_for_jobs,
     resolve_jobs,
     run_job,
-    set_plan_cache_path,
     set_progress_logger,
     sweep_block_sizes,
 )
@@ -177,14 +175,14 @@ class TestMergeCodecStats:
         assert merge_codec_stats([]) is None
 
     def test_counters_sum_and_hit_rate_recomputes(self):
-        one = {"backend": "planned", "blocks_encoded": 2, "blocks_decoded": 1,
+        one = {"kernel": "native", "blocks_encoded": 2, "blocks_decoded": 1,
                "plan_cache": {"hits": 3, "misses": 1, "evictions": 0, "hit_rate": 0.75},
                "cached_plans": 1}
-        two = {"backend": "planned", "blocks_encoded": 4, "blocks_decoded": 0,
+        two = {"kernel": "native", "blocks_encoded": 4, "blocks_decoded": 0,
                "plan_cache": {"hits": 1, "misses": 3, "evictions": 2, "hit_rate": 0.25},
                "cached_plans": 3}
         merged = merge_codec_stats([one, None, two])
-        assert merged["backend"] == "planned"
+        assert merged["kernel"] == "native"
         assert merged["blocks_encoded"] == 6
         assert merged["blocks_decoded"] == 1
         assert merged["plan_cache"]["hits"] == 4
@@ -196,10 +194,10 @@ class TestMergeCodecStats:
         assert merged["cached_plans"] == 3
         assert merged["shards"] == 2
 
-    def test_mixed_backends_are_named(self):
-        one = {"backend": "planned", "plan_cache": {}}
-        two = {"backend": "reference", "plan_cache": {}}
-        assert merge_codec_stats([one, two])["backend"] == "planned+reference"
+    def test_mixed_kernels_are_named(self):
+        one = {"kernel": "native", "plan_cache": {}}
+        two = {"kernel": "numpy", "plan_cache": {}}
+        assert merge_codec_stats([one, two])["kernel"] == "native+numpy"
 
 
 class TestResolveJobs:
@@ -286,69 +284,6 @@ class TestExecutorProfile:
         assert "no executor profile" in format_exec_profile(None)
 
 
-class TestPersistentPlanCache:
-    def test_cache_file_created_and_reused(self, tmp_path):
-        jobs = _payload_jobs(seeds=(1,))
-        path = tmp_path / "plans.pkl"
-        set_plan_cache_path(path)
-        try:
-            first = execute_jobs(jobs)
-            assert path.exists()
-            written = path.stat().st_mtime_ns
-            second = execute_jobs(jobs)  # fully warm: loaded, not rewritten
-            assert path.stat().st_mtime_ns == written
-        finally:
-            set_plan_cache_path(None)
-        assert first[0].codec_stats == second[0].codec_stats
-        assert _transfer_metrics(first[0]) == _transfer_metrics(second[0])
-
-    def test_corrupt_cache_file_is_rebuilt(self, tmp_path):
-        jobs = _payload_jobs(seeds=(1,))
-        path = tmp_path / "plans.pkl"
-        path.write_bytes(b"not a pickle")
-        set_plan_cache_path(path)
-        try:
-            runs = execute_jobs(jobs)
-        finally:
-            set_plan_cache_path(None)
-        assert runs[0].completion_fraction == 1.0
-        from repro.rq.plan import PlanStore
-
-        assert len(PlanStore.load(path)) >= 1  # rebuilt and saved over the junk
-
-    def test_other_schema_cache_file_warns_and_is_rebuilt(self, tmp_path):
-        # A cache written under another plan-key schema (e.g. the pre-canonical
-        # exact-ESI keying) must be discarded with a warning, then rebuilt --
-        # never silently preloaded into worker caches.
-        import pickle as _pickle
-
-        from repro.rq.plan import PLAN_STORE_SCHEMA, PlanStore
-        from repro.rq.backend import prewarm_encode_plans
-
-        stale = prewarm_encode_plans([11])
-        del stale.__dict__["schema"]  # as written by pre-versioning builds
-        path = tmp_path / "plans.pkl"
-        path.write_bytes(_pickle.dumps(stale, protocol=_pickle.HIGHEST_PROTOCOL))
-        jobs = _payload_jobs(seeds=(1,))
-        set_plan_cache_path(path)
-        try:
-            with pytest.warns(RuntimeWarning, match="discarding plan cache"):
-                store = plan_store_for_jobs(jobs)
-        finally:
-            set_plan_cache_path(None)
-        assert store is not None and len(store) >= 1
-        rebuilt = PlanStore.load(path)  # rewritten under the current schema
-        assert rebuilt.schema == PLAN_STORE_SCHEMA
-
-    def test_default_path_is_keyed_by_version(self):
-        from repro import __version__
-
-        path = default_plan_cache_path()
-        assert __version__ in path.name
-        assert path.parent.name == "repro"
-        assert path.parent.parent.name == ".cache"
-
-
 class TestCliJobs:
     def test_jobs_and_seeds_flags_parse(self):
         from repro.cli import build_parser
@@ -384,14 +319,25 @@ class TestCliJobs:
             args = build_parser().parse_args([command])
             assert args.jobs == 1
             assert args.progress is False
-            assert args.plan_cache is None
 
-    def test_plan_cache_flag_with_and_without_path(self):
+    @pytest.mark.parametrize(
+        "option",
+        ["--plan-cache", "--plan-cache PATH", "codec_backend", "canonical_decode_plans",
+         "backend"],
+    )
+    def test_removed_codec_options_rejected(self, option):
         from repro.cli import build_parser
+        from repro.rq.backend import CodecContext
 
-        assert build_parser().parse_args(["mix", "--plan-cache"]).plan_cache == "auto"
-        args = build_parser().parse_args(["mix", "--plan-cache", "/tmp/p.pkl"])
-        assert args.plan_cache == "/tmp/p.pkl"
+        if option.startswith("--"):
+            with pytest.raises(SystemExit):
+                build_parser().parse_args(["mix", *option.replace("PATH", "p.pkl").split()])
+        elif option == "codec_backend":
+            with pytest.raises(TypeError):
+                PolyraptorConfig(codec_backend="planned")
+        else:
+            with pytest.raises(TypeError):
+                CodecContext(**{option: True})
 
     def test_seeds_only_accepted_by_multi_seed_sweeps(self):
         from repro.cli import build_parser

@@ -18,7 +18,7 @@ from repro.experiments.parallel import RunJob, execute_jobs
 from repro.experiments.report import (
     format_fault_stats,
     format_resilience,
-    merge_fault_stats,
+    merge_counters,
 )
 from repro.experiments.resilience import expand_resilience_sweep, run_resilience
 from repro.experiments.runner import run_transfers
@@ -204,13 +204,13 @@ class TestRunResilience:
 
 class TestMergeFaultStats:
     def test_none_merges_to_none(self):
-        assert merge_fault_stats([None, None]) is None
-        assert merge_fault_stats([]) is None
+        assert merge_counters([None, None]) is None
+        assert merge_counters([]) is None
 
     def test_counters_sum_and_shards_counted(self):
         one = {"events_applied": 2, "links_failed": 1, "reroutes": 10}
         two = {"events_applied": 3, "links_failed": 0, "reroutes": 5}
-        merged = merge_fault_stats([one, None, two])
+        merged = merge_counters([one, None, two])
         assert merged["events_applied"] == 5
         assert merged["links_failed"] == 1
         assert merged["reroutes"] == 15

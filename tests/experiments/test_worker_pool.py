@@ -232,14 +232,15 @@ class TestDecodePrewarm:
         from repro.rq.backend import CodecContext, prewarm_canonical_decode_plans
         from repro.rq.decoder import BlockDecoder
         from repro.rq.encoder import BlockEncoder
+        from tests.rq.reference import ReferenceContext
 
         k, symbol_size = 12, 64
         store = prewarm_canonical_decode_plans([k])
-        context = CodecContext("planned", preload=store)
+        context = CodecContext(preload=store)
         rng = random.Random(3)
         source = [bytes(rng.getrandbits(8) for _ in range(symbol_size))
                   for _ in range(k)]
-        encoder = BlockEncoder(source, context=CodecContext("reference"))
+        encoder = BlockEncoder(source, context=ReferenceContext())
         # Lose source symbol 3; receive the rest plus repair ESIs k..k+2 --
         # exactly the received set the singleton pre-warm pattern models.
         decoder = BlockDecoder(k, symbol_size, context=context)

@@ -1,9 +1,10 @@
-"""Tests for the codec backend registry and the elimination-plan cache.
+"""Tests for the codec context and the elimination-plan cache.
 
-The central property: the ``planned`` backend (cached elimination plans,
-batched symbol-plane replay) must be **byte-identical** to the ``reference``
-backend (full per-block Gaussian elimination) for every symbol it emits and
-every block it decodes, across many K' values, with and without loss.
+The central property: the planned path of :class:`CodecContext` (cached
+elimination plans, batched symbol-plane replay) must be **byte-identical**
+to the direct-solve :class:`ReferenceContext` (full per-block Gaussian
+elimination) for every symbol it emits and every block it decodes, across
+many K' values, with and without loss.
 """
 
 from __future__ import annotations
@@ -16,16 +17,22 @@ import pytest
 from repro.rq.backend import (
     DEFAULT_BACKEND,
     CodecContext,
-    available_backends,
-    create_backend,
     default_context,
+    set_default_backend,
 )
 from repro.rq.decoder import BlockDecoder
 from repro.rq.encoder import BlockEncoder
 from repro.rq.gf256 import gf_matmul, gf_matvec
 from repro.rq.params import for_k
-from repro.rq.plan import PlanCache, build_plan, constraint_matrix, received_matrix
+from repro.rq.plan import (
+    PlanCache,
+    build_plan,
+    canonical_decode_candidates,
+    constraint_matrix,
+    received_matrix,
+)
 from repro.rq.solver import SingularMatrixError, solve
+from tests.rq.reference import ReferenceContext
 
 SYMBOL_SIZE = 256
 
@@ -47,28 +54,31 @@ def lossy_symbols(encoder: BlockEncoder, k: int, seed: int = 3) -> list[tuple[in
 
 
 class TestBackendRegistry:
-    def test_both_backends_registered(self):
-        assert {"reference", "planned"} <= set(available_backends())
+    """``set_default_backend`` survives only as the cold-reset hook."""
 
     def test_default_backend_is_planned(self):
         assert DEFAULT_BACKEND == "planned"
-        assert default_context().backend_name in available_backends()
+        warm = default_context()
+        BlockEncoder(source_block(8), context=warm)
+        cold = set_default_backend(DEFAULT_BACKEND)
+        assert default_context() is cold
+        assert cold is not warm
+        assert cold.cached_plans == 0 and cold.stats.lookups == 0
 
     def test_unknown_backend_rejected(self):
-        with pytest.raises(ValueError, match="unknown codec backend"):
-            create_backend("does-not-exist")
-
-    def test_context_accepts_instance(self):
-        context = CodecContext(create_backend("reference"))
-        assert context.backend_name == "reference"
+        before = default_context()
+        for name in ("reference", "does-not-exist"):
+            with pytest.raises(ValueError, match="unknown codec backend"):
+                set_default_backend(name)
+        assert default_context() is before
 
 
 class TestBackendEquivalence:
     @pytest.mark.parametrize("k", K_VALUES)
     def test_encode_byte_identical(self, k):
         source = source_block(k)
-        reference = BlockEncoder(source, context=CodecContext("reference"))
-        planned = BlockEncoder(source, context=CodecContext("planned"))
+        reference = BlockEncoder(source, context=ReferenceContext())
+        planned = BlockEncoder(source, context=CodecContext())
         assert np.array_equal(reference.intermediate_plane, planned.intermediate_plane)
         for esi in list(range(k)) + list(range(k, k + 8)):
             assert reference.symbol(esi) == planned.symbol(esi), f"esi={esi}"
@@ -76,22 +86,53 @@ class TestBackendEquivalence:
     @pytest.mark.parametrize("k", K_VALUES)
     def test_lossy_round_trip_byte_identical(self, k):
         source = source_block(k)
-        encoder = BlockEncoder(source, context=CodecContext("reference"))
+        encoder = BlockEncoder(source, context=ReferenceContext())
         symbols = lossy_symbols(encoder, k)
         decoded = {}
-        for backend in ("reference", "planned"):
-            decoder = BlockDecoder(k, SYMBOL_SIZE, context=CodecContext(backend))
+        for name, context in (("reference", ReferenceContext()), ("planned", CodecContext())):
+            decoder = BlockDecoder(k, SYMBOL_SIZE, context=context)
             for esi, data in symbols:
                 decoder.add_symbol(esi, data)
             result = decoder.decode()
-            assert result.success and result.used_gaussian_elimination, backend
-            decoded[backend] = result.source_symbols
+            assert result.success and result.used_gaussian_elimination, name
+            decoded[name] = result.source_symbols
         assert decoded["reference"] == decoded["planned"]
         assert b"".join(decoded["planned"]) == b"".join(source)
 
+    @pytest.mark.parametrize(
+        "k, missing, first_repair",
+        [(4, (0,), 41), (16, (5, 12, 15), 70), (93, (23, 79), 99)],
+    )
+    def test_singular_minimal_system_matches_reference(self, k, missing, first_repair):
+        """The ladder widens past a singular minimal system to the reference bytes."""
+        params = for_k(k)
+        source = source_block(k)
+        reference_encoder = BlockEncoder(source, context=ReferenceContext())
+        planned_encoder = BlockEncoder(source, context=CodecContext())
+        repairs = list(range(first_repair, first_repair + len(missing) + 3))
+        esis = [esi for esi in range(k) if esi not in missing] + repairs
+        assert reference_encoder.symbol_block(esis).tobytes() == (
+            planned_encoder.symbol_block(esis).tobytes()
+        )
+        _, minimal = next(canonical_decode_candidates(params, esis))
+        with pytest.raises(SingularMatrixError):
+            build_plan(received_matrix(params, minimal),
+                       num_unknowns=params.num_intermediate_symbols)
+        decoded = {}
+        for name, context in (("reference", ReferenceContext()), ("planned", CodecContext())):
+            decoder = BlockDecoder(k, SYMBOL_SIZE, context=context)
+            for esi in esis:
+                decoder.add_symbol(esi, reference_encoder.symbol(esi))
+            result = decoder.decode()
+            assert result.success, name
+            decoded[name] = result.source_symbols
+            if name == "planned":
+                assert context.decode_plan_retries >= 1
+        assert decoded["reference"] == decoded["planned"] == source
+
     def test_batched_symbol_block_matches_per_symbol_path(self):
         k = 16
-        encoder = BlockEncoder(source_block(k), context=CodecContext("planned"))
+        encoder = BlockEncoder(source_block(k), context=CodecContext())
         esis = list(range(k + 6))
         plane = encoder.symbol_block(esis)
         for row, esi in enumerate(esis):
@@ -100,14 +141,14 @@ class TestBackendEquivalence:
 
 class TestPlanCacheBehaviour:
     def test_second_block_same_k_hits_cache(self):
-        context = CodecContext("planned")
+        context = CodecContext()
         BlockEncoder(source_block(24, seed=1), context=context)
         assert (context.stats.hits, context.stats.misses) == (0, 1)
         BlockEncoder(source_block(24, seed=2), context=context)
         assert (context.stats.hits, context.stats.misses) == (1, 1)
 
     def test_distinct_k_values_do_not_share_plans(self):
-        context = CodecContext("planned")
+        context = CodecContext()
         BlockEncoder(source_block(10), context=context)
         BlockEncoder(source_block(11), context=context)
         assert context.stats.misses == 2
@@ -115,8 +156,8 @@ class TestPlanCacheBehaviour:
 
     def test_repeated_loss_pattern_hits_decode_cache(self):
         k = 12
-        context = CodecContext("planned")
-        encoder = BlockEncoder(source_block(k), context=CodecContext("reference"))
+        context = CodecContext()
+        encoder = BlockEncoder(source_block(k), context=ReferenceContext())
         symbols = lossy_symbols(encoder, k)
         for expected_hits in (0, 1):
             decoder = BlockDecoder(k, SYMBOL_SIZE, context=context)
@@ -126,16 +167,15 @@ class TestPlanCacheBehaviour:
             assert context.stats.hits == expected_hits
 
     def test_reference_backend_never_touches_cache(self):
-        context = CodecContext("reference")
+        context = ReferenceContext()
         BlockEncoder(source_block(8), context=context)
         assert context.stats.lookups == 0
         assert context.blocks_encoded == 1
 
     def test_stats_dict_shape(self):
-        context = CodecContext("planned")
+        context = CodecContext()
         BlockEncoder(source_block(8), context=context)
         stats = context.stats_dict()
-        assert stats["backend"] == "planned"
         assert stats["blocks_encoded"] == 1
         assert stats["plan_cache"]["misses"] == 1
         assert 0.0 <= stats["plan_cache"]["hit_rate"] <= 1.0
@@ -161,15 +201,6 @@ class TestEliminationPlan:
         rhs = rng.integers(0, 256, (matrix.shape[0], 17), dtype=np.uint8)
         assert np.array_equal(plan.apply(rhs), solve(matrix, rhs))
 
-    def test_step_replay_matches_fused_operator(self):
-        params = for_k(13)
-        matrix = constraint_matrix(params)
-        plan = build_plan(matrix)
-        rng = np.random.default_rng(6)
-        rhs = rng.integers(0, 256, (matrix.shape[0], 9), dtype=np.uint8)
-        assert np.array_equal(plan.replay(rhs), plan.apply(rhs))
-        assert plan.steps, "the recorded row-op sequence must not be empty"
-
     def test_apply_from_row_equals_zero_padded_apply(self):
         params = for_k(7)
         plan = build_plan(constraint_matrix(params))
@@ -193,16 +224,6 @@ class TestEliminationPlan:
         x = rng.integers(0, 256, (params.num_intermediate_symbols, 3), dtype=np.uint8)
         rhs = gf_matmul(matrix, x)
         assert np.array_equal(plan.apply(rhs), x)
-
-    def test_record_steps_false_keeps_operator_only(self):
-        params = for_k(7)
-        matrix = constraint_matrix(params)
-        lean = build_plan(matrix, record_steps=False)
-        full = build_plan(matrix)
-        assert lean.steps is None
-        assert np.array_equal(lean.operator, full.operator)
-        with pytest.raises(ValueError, match="record_steps"):
-            lean.replay(np.zeros((lean.num_rows, 2), dtype=np.uint8))
 
     def test_singular_matrix_raises(self):
         with pytest.raises(SingularMatrixError):

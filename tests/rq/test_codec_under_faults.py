@@ -5,24 +5,21 @@ kernel available on this platform (``numpy`` always, ``native`` when it
 can be built) at 0-30% symbol loss -- the loss regime the fault and
 gray-failure models produce -- asserting byte-identical recovery on every
 kernel and that canonical decode-plan keys turn repeated loss patterns into
-cache hits.  Plus a regression test for the ``plan_store_for_jobs``
-schema-v2 warn+rebuild path (PR 4's satellite fix).
+cache hits.
 """
 
 from __future__ import annotations
 
-import pickle
 import random
 
 import numpy as np
 import pytest
 
 from repro.rq.api import decode_object, encode_object
-from repro.rq.backend import CodecContext, prewarm_encode_plans
+from repro.rq.backend import CodecContext
 from repro.rq.decoder import BlockDecoder
 from repro.rq.encoder import BlockEncoder
 from repro.rq.kernels import available_kernels
-from repro.rq.plan import PLAN_STORE_SCHEMA, PlanStore
 
 SYMBOL_SIZE = 48
 OBJECT_BYTES = 4000  # several blocks at max_symbols_per_block=32
@@ -65,7 +62,7 @@ def _lossy_subset(symbols, loss: float, rng: random.Random, min_keep_per_block: 
 class TestRoundTripUnderLoss:
     def test_object_recovers_byte_identically(self, kernel, loss, seed):
         data = _object_bytes()
-        context = CodecContext("planned", kernel=kernel)
+        context = CodecContext(kernel=kernel)
         oti, symbols = encode_object(
             data, symbol_size=SYMBOL_SIZE,
             repair_symbols_per_block=MAX_SYMBOLS_PER_BLOCK,  # 100% overhead budget
@@ -86,7 +83,7 @@ class TestRoundTripUnderLoss:
         """Every kernel recovers the identical bytes from the identical
         surviving symbol set (GF(256) arithmetic is exact)."""
         data = _object_bytes(seed=7)
-        reference_context = CodecContext("planned", kernel="numpy")
+        reference_context = CodecContext(kernel="numpy")
         oti, symbols = encode_object(
             data, symbol_size=SYMBOL_SIZE,
             repair_symbols_per_block=MAX_SYMBOLS_PER_BLOCK,
@@ -97,7 +94,7 @@ class TestRoundTripUnderLoss:
             for block in range(oti.num_source_blocks)
         }
         received = _lossy_subset(symbols, loss, random.Random(seed), floors)
-        context = CodecContext("planned", kernel=kernel)
+        context = CodecContext(kernel=kernel)
         assert decode_object(oti, received, context=context) == \
             decode_object(oti, received, context=reference_context) == data
 
@@ -107,12 +104,12 @@ class TestRoundTripUnderLoss:
         reference = encode_object(
             data, symbol_size=SYMBOL_SIZE, repair_symbols_per_block=4,
             max_symbols_per_block=MAX_SYMBOLS_PER_BLOCK,
-            context=CodecContext("planned", kernel="numpy"),
+            context=CodecContext(kernel="numpy"),
         )[1]
         under_test = encode_object(
             data, symbol_size=SYMBOL_SIZE, repair_symbols_per_block=4,
             max_symbols_per_block=MAX_SYMBOLS_PER_BLOCK,
-            context=CodecContext("planned", kernel=kernel),
+            context=CodecContext(kernel=kernel),
         )[1]
         assert [(s.block_number, s.esi, s.data) for s in reference] == \
             [(s.block_number, s.esi, s.data) for s in under_test]
@@ -133,7 +130,7 @@ class TestCanonicalPlansUnderLoss:
         """Blocks that lost the same source symbols share one decode plan no
         matter how many surplus repair symbols each received -- the
         canonical-key property that keeps the cache warm under loss."""
-        context = CodecContext("planned", kernel=kernel)
+        context = CodecContext(kernel=kernel)
         lost = (0, 3)  # the same two source symbols vanish from every block
         for round_number, surplus in enumerate((0, 2, 4)):
             sources = self._sources(seed=20 + round_number)
@@ -151,78 +148,3 @@ class TestCanonicalPlansUnderLoss:
         # with different surplus, ride the same canonical plan.
         assert context.decode_stats.misses == 1
         assert context.decode_stats.hits == 2
-
-    def test_exact_keying_pays_per_surplus_count(self):
-        """Control: legacy exact-ESI keys rebuild a plan per surplus count."""
-        context = CodecContext("planned", canonical_decode_plans=False)
-        lost = (0, 3)
-        for round_number, surplus in enumerate((0, 2, 4)):
-            sources = self._sources(seed=30 + round_number)
-            encoder = BlockEncoder(sources, context=context)
-            esis = tuple(
-                esi for esi in range(self.K) if esi not in lost
-            ) + tuple(range(self.K, self.K + len(lost) + surplus))
-            decoder = BlockDecoder(self.K, SYMBOL_SIZE, context=context)
-            for esi in esis:
-                decoder.add_symbol(esi, encoder.symbol(esi))
-            assert decoder.decode().success
-        assert context.decode_stats.misses == 3
-        assert context.decode_stats.hits == 0
-
-
-class TestPlanStoreSchemaRegression:
-    """Regression: ``plan_store_for_jobs`` warns and rebuilds on any store
-    whose schema is not the current v2 -- both the pre-versioning v1 shape
-    (covered in test_parallel) and a *future* schema, which this pins."""
-
-    def _payload_jobs(self):
-        from dataclasses import replace as dc_replace
-
-        from repro.core.config import PolyraptorConfig
-        from repro.experiments.config import ExperimentConfig, Protocol
-        from repro.experiments.parallel import RunJob
-        from repro.workloads.spec import TransferKind, TransferSpec
-
-        config = dc_replace(
-            ExperimentConfig.quick(),
-            polyraptor=PolyraptorConfig(carry_payload=True),
-        )
-        spec = TransferSpec(
-            transfer_id=1, kind=TransferKind.UNICAST, client="h0",
-            peers=("h15",), size_bytes=8 * 1024, start_time=0.0,
-        )
-        return [RunJob(key=(1,), protocol=Protocol.POLYRAPTOR,
-                       config=config, transfers=(spec,))]
-
-    def test_current_schema_cache_loads_silently(self, tmp_path):
-        import warnings
-
-        from repro.experiments.parallel import plan_store_for_jobs, set_plan_cache_path
-
-        path = tmp_path / "plans.pkl"
-        prewarm_encode_plans([11]).save(path)
-        assert PlanStore.load(path).schema == PLAN_STORE_SCHEMA == 2
-        set_plan_cache_path(path)
-        try:
-            with warnings.catch_warnings():
-                warnings.simplefilter("error")  # any warning fails the test
-                store = plan_store_for_jobs(self._payload_jobs())
-        finally:
-            set_plan_cache_path(None)
-        assert store is not None and len(store) >= 1
-
-    def test_future_schema_cache_warns_and_is_rebuilt(self, tmp_path):
-        from repro.experiments.parallel import plan_store_for_jobs, set_plan_cache_path
-
-        stale = prewarm_encode_plans([11])
-        stale.schema = PLAN_STORE_SCHEMA + 1  # written by a future release
-        path = tmp_path / "plans.pkl"
-        path.write_bytes(pickle.dumps(stale, protocol=pickle.HIGHEST_PROTOCOL))
-        set_plan_cache_path(path)
-        try:
-            with pytest.warns(RuntimeWarning, match="discarding plan cache"):
-                store = plan_store_for_jobs(self._payload_jobs())
-        finally:
-            set_plan_cache_path(None)
-        assert store is not None and len(store) >= 1
-        assert PlanStore.load(path).schema == PLAN_STORE_SCHEMA

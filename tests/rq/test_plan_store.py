@@ -1,9 +1,10 @@
 """Tests for the picklable PlanStore and plan pre-warming.
 
 The store is the artifact that lets sharded experiment runs share one set of
-elimination plans: these tests pin down the save/load round-trip, the
-cache <-> store conversions and the guarantee that a preloaded context
-produces byte-identical symbols with zero misses.
+elimination plans: these tests pin down the bytes round-trip, the
+cache <-> store conversions, that pre-warming eliminates on the process
+kernel, and the guarantee that a preloaded context produces byte-identical
+symbols with zero misses.
 """
 
 from __future__ import annotations
@@ -15,17 +16,20 @@ import pytest
 
 from repro.rq.backend import (
     CodecContext,
+    prewarm_canonical_decode_plans,
     prewarm_decode_plans,
     prewarm_encode_plans,
 )
 from repro.rq.decoder import BlockDecoder
 from repro.rq.encoder import BlockEncoder
+from repro.rq.kernels import KERNEL_ENV_VAR, available_kernels, get_kernel
 from repro.rq.params import for_k
 from repro.rq.plan import (
-    PLAN_STORE_SCHEMA,
     PlanCache,
     PlanStore,
-    PlanStoreSchemaError,
+    build_plan,
+    constraint_matrix,
+    received_matrix,
 )
 
 K = 16
@@ -38,20 +42,9 @@ def _source_symbols(seed: int = 3):
 
 
 class TestPlanStoreRoundTrip:
-    def test_save_load_preserves_plans(self, tmp_path):
+    def test_loaded_operators_are_read_only(self):
         store = prewarm_encode_plans([K])
-        path = store.save(tmp_path / "plans.pkl")
-        loaded = PlanStore.load(path)
-        assert set(loaded.plans) == set(store.plans)
-        for key, plan in store.plans.items():
-            other = loaded.plans[key]
-            assert other.num_rows == plan.num_rows
-            assert other.num_unknowns == plan.num_unknowns
-            assert np.array_equal(other.operator, plan.operator)
-
-    def test_loaded_operators_are_read_only(self, tmp_path):
-        store = prewarm_encode_plans([K])
-        loaded = PlanStore.load(store.save(tmp_path / "plans.pkl"))
+        loaded = PlanStore.from_bytes(store.to_bytes())
         plan = next(iter(loaded.plans.values()))
         assert not plan.operator.flags.writeable
 
@@ -63,44 +56,15 @@ class TestPlanStoreRoundTrip:
         with pytest.raises(TypeError):
             PlanStore.from_bytes(pickle.dumps({"not": "a store"}))
 
-    def test_store_records_current_schema(self):
-        assert PlanStore().schema == PLAN_STORE_SCHEMA
-        assert prewarm_encode_plans([K]).schema == PLAN_STORE_SCHEMA
-
-    def test_other_schema_rejected_cleanly(self):
-        store = prewarm_encode_plans([K])
-        store.schema = PLAN_STORE_SCHEMA + 1
-        with pytest.raises(PlanStoreSchemaError, match="schema"):
-            PlanStore.from_bytes(store.to_bytes())
-
-    def test_legacy_unversioned_pickle_rejected(self, tmp_path):
-        # Stores written before versioning carried no schema field at all;
-        # they restore as schema 1 and must be refused, not served.
-        store = prewarm_encode_plans([K])
-        del store.__dict__["schema"]
-        path = tmp_path / "legacy.pkl"
-        path.write_bytes(pickle.dumps(store, protocol=pickle.HIGHEST_PROTOCOL))
-        with pytest.raises(PlanStoreSchemaError, match="v1"):
-            PlanStore.load(path)
-
-    def test_merge_keeps_existing_plans(self):
-        first = prewarm_encode_plans([K])
-        second = prewarm_encode_plans([K, K + 1])
-        original = first.plans[("encode", for_k(K))]
-        first.merge(second)
-        assert len(first) == 2
-        assert first.plans[("encode", for_k(K))] is original
-
-
 class TestCacheStoreConversions:
     def test_snapshot_contains_lazily_built_plans(self):
-        context = CodecContext("planned")
+        context = CodecContext()
         BlockEncoder(_source_symbols(), context=context)
         store = context.snapshot_plans()
         assert ("encode", for_k(K)) in store
 
     def test_prewarm_matches_lazily_built_keys(self):
-        context = CodecContext("planned")
+        context = CodecContext()
         BlockEncoder(_source_symbols(), context=context)
         lazy = context.snapshot_plans()
         warmed = prewarm_encode_plans([K])
@@ -109,16 +73,16 @@ class TestCacheStoreConversions:
             assert np.array_equal(warmed.plans[key].operator, lazy.plans[key].operator)
 
     def test_preload_counts_neither_hits_nor_misses(self):
-        context = CodecContext("planned", preload=prewarm_encode_plans([K]))
+        context = CodecContext(preload=prewarm_encode_plans([K]))
         assert context.stats.hits == 0
         assert context.stats.misses == 0
         assert context.cached_plans == 1
 
     def test_preloaded_context_encodes_with_zero_misses(self):
         source = _source_symbols()
-        cold = CodecContext("planned")
+        cold = CodecContext()
         cold_encoder = BlockEncoder(source, context=cold)
-        warm = CodecContext("planned", preload=prewarm_encode_plans([K]))
+        warm = CodecContext(preload=prewarm_encode_plans([K]))
         warm_encoder = BlockEncoder(source, context=warm)
         assert cold.stats.misses == 1
         assert warm.stats.misses == 0
@@ -142,7 +106,7 @@ class TestDecodePrewarm:
         # Lose the first two source symbols; receive two repair symbols.
         esis = tuple(range(2, K)) + (K, K + 1)
         store = prewarm_decode_plans(K, [esis])
-        context = CodecContext("planned", preload=store)
+        context = CodecContext(preload=store)
         decoder = BlockDecoder(K, SYMBOL_SIZE, context=context)
         for esi in esis:
             decoder.add_symbol(esi, encoder.symbol(esi))
@@ -155,6 +119,38 @@ class TestDecodePrewarm:
     def test_store_reusable_across_contexts(self):
         store = prewarm_encode_plans([K])
         for _ in range(2):
-            context = CodecContext("planned", preload=store)
+            context = CodecContext(preload=store)
             BlockEncoder(_source_symbols(), context=context)
             assert context.stats.misses == 0
+
+    @pytest.mark.parametrize("name", available_kernels())
+    def test_prewarm_eliminates_on_the_process_kernel(self, name, monkeypatch):
+        monkeypatch.setenv(KERNEL_ENV_VAR, name)
+        kernel_class = type(get_kernel(None))
+        assert get_kernel(None).name == name
+        calls = []
+        original = kernel_class.addmul_rows
+
+        def spy(self, *args, **kwargs):
+            calls.append(self.name)
+            return original(self, *args, **kwargs)
+
+        monkeypatch.setattr(kernel_class, "addmul_rows", spy)
+        encode = prewarm_encode_plans([K])
+        assert calls and set(calls) == {name}
+        calls.clear()
+        decode = prewarm_canonical_decode_plans([K], budget_per_k=6)
+        assert calls and set(calls) == {name}
+        monkeypatch.undo()
+
+        # Byte-equal to plans eliminated on the numpy ground truth.
+        for (_, params), plan in encode.plans.items():
+            truth = build_plan(constraint_matrix(params))
+            assert plan.operator.tobytes() == truth.operator.tobytes()
+        assert len(decode) == 6
+        for (_, params, missing, repairs), plan in decode.plans.items():
+            used = tuple(esi for esi in range(K) if esi not in missing) + repairs
+            truth = build_plan(
+                received_matrix(params, used), num_unknowns=params.num_intermediate_symbols
+            )
+            assert plan.operator.tobytes() == truth.operator.tobytes()
